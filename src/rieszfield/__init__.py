@@ -32,7 +32,6 @@ _EXPORTS = {
     "EquilibriumError": "equilibrium",
     "EquilibriumMeasure": "equilibrium",
     "solve_equilibrium": "equilibrium",
-    "solve_l1": "equilibrium",
     "integrate_adaptive": "equilibrium",
     # fields
     "ExternalField": "fields",

@@ -97,8 +97,8 @@ def _resolve_constant(s, d, override=None):
         raise CliError(EXIT_CONFIG, str(e)) from e
 
 
-def _build_problem(set_desc, field_desc, s, n, override=None):
-    """Shared validation path for solve and reproduce."""
+def _problem_set(set_desc, s):
+    """The set of a descriptor and s as a float, checked for s >= d."""
     try:
         cset = set_from_descriptor(set_desc)
     except (ValueError, TypeError, KeyError) as e:
@@ -110,6 +110,12 @@ def _build_problem(set_desc, field_desc, s, n, override=None):
             f"hypersingular regime requires s >= d; got s={s:g} on a set of "
             f"dimension d={cset.hausdorff_dim}",
         )
+    return cset, s
+
+
+def _build_problem(set_desc, field_desc, s, n, override=None):
+    """Shared validation path for solve and reproduce."""
+    cset, s = _problem_set(set_desc, s)
     n = int(n)
     if n < 2:
         raise CliError(EXIT_CONFIG, f"need at least 2 points, got n={n}")
@@ -159,8 +165,12 @@ def _write_run(out_dir: Path, result, measure, cset, fld, report_dict):
     return report_dict["files"]
 
 
-def _run_problem(cset, fld, s, n, const, settings, mode, out_dir, label):
-    """Equilibrium solve + minimize + diagnostics + export."""
+def _run(cset, fld, s, n, const, settings, mode, out_dir, label, entry=None):
+    """Equilibrium solve, minimize, diagnostics, export and summary.
+
+    ``entry`` is a reproduce_defaults.json example whose published
+    windows the run is compared against.
+    """
     t0 = time.perf_counter()
     measure = solve_equilibrium(cset, fld, s, c_sd=const)
     result = minimize(cset, fld, s, n, settings, measure=measure)
@@ -169,8 +179,8 @@ def _run_problem(cset, fld, s, n, const, settings, mode, out_dir, label):
     if mode == "fast":
         scale = 2e-3 if cset.hausdorff_dim == 1 else 2e-2
         fill = scale * cset.diameter
-    mesh = cset.mesh(fill)
-    report = diagnostics.build_report(result.config, fld, s, measure, mesh=mesh)
+    report = diagnostics.build_report(result.config, fld, s, measure, mesh=cset.mesh(fill))
+    comparison = None if entry is None else _compare(entry, fld, measure, result.config, report)
     d = cset.hausdorff_dim
     report_dict = {
         "label": label,
@@ -195,21 +205,21 @@ def _run_problem(cset, fld, s, n, const, settings, mode, out_dir, label):
         "grad_norm": result.grad_norm,
         "iterations": int(result.trace[-1, 0]) + 1 if len(result.trace) else 0,
         "diagnostics": report.to_dict(),
-        "comparison": None,
+        "comparison": comparison,
     }
-    return measure, result, report, report_dict, t0
-
-
-def _finish_run(out_dir, result, measure, cset, fld, report_dict, t0):
     report_dict["wall_time_s"] = time.perf_counter() - t0
     _write_run(Path(out_dir), result, measure, cset, fld, report_dict)
-    d = report_dict["diagnostics"]
-    print(f"L1 = {report_dict['l1']:.9g}   S(q, A) = {report_dict['s_value']:.9g}")
+    print(f"L1 = {measure.l1:.9g}   S(q, A) = {measure.s_value:.9g}")
     print(
-        f"N = {report_dict['n_points']}   energy = {report_dict['energy']:.9g}   "
-        f"separation = {d['separation']:.6g}   covering = {d['covering_radius']:.6g}"
+        f"N = {n}   energy = {result.energy:.9g}   "
+        f"separation = {report.separation:.6g}   covering = {report.covering_radius:.6g}"
     )
     print(f"report: {Path(out_dir) / 'report.json'}")
+    if comparison is not None:
+        for name, c in comparison["checks"].items():
+            verdict = "PASS" if c["within"] else "FAIL"
+            tol = f" (rel_tol {c['rel_tol']:g})" if "rel_tol" in c else ""
+            print(f"  {name}: computed {c['computed']:.6g} vs published {c['published']:.6g}{tol} {verdict}")
 
 
 def cmd_solve(args) -> int:
@@ -231,11 +241,7 @@ def cmd_solve(args) -> int:
         raise CliError(EXIT_CONFIG, f"mode must be 'reproducible' or 'fast', got {mode!r}")
     settings = _settings_from(cfg.get("settings"), cfg.get("seed"))
     out_dir = args.out or cfg.get("out_dir") or "riesz-run"
-    label = cfg.get("label", fld.label)
-    measure, result, _, report_dict, t0 = _run_problem(
-        cset, fld, s, n, const, settings, mode, out_dir, label
-    )
-    _finish_run(out_dir, result, measure, cset, fld, report_dict, t0)
+    _run(cset, fld, s, n, const, settings, mode, out_dir, cfg.get("label", fld.label))
     return 0
 
 
@@ -253,82 +259,28 @@ def _check(published, computed, rel_tol):
     }
 
 
-def _region_mesh_ratios(cset, fld, measure, config, mesh):
-    """Region mesh ratios: covering radius of each connected region of
-    the occupied sublevel {q <= max_i q(x_i)} over the global separation.
-
-    The threshold is the largest field value the configuration actually
-    realizes (capped at L1): the limit density vanishes toward the
-    support boundary, so covering against the full support is dominated
-    by the empty low-density collar rather than by the point pattern.
-    Components split into the equatorial band and the pooled polar caps.
-    """
-    from scipy.spatial import cKDTree
-
-    X = config.points
-    qx = np.asarray(fld.evaluate(X), dtype=float)
-    level = min(float(qx.max()), measure.l1)
-    kept, labels = diagnostics.sublevel_components(cset, mesh, fld, level)
-    means = np.array([abs(kept[labels == k][:, 2].mean()) for k in range(int(labels.max()) + 1)])
-    polar = means > 0.5
-    own = labels[cKDTree(kept).query(X)[1]]
-    sep = diagnostics.separation(config)
-    out = {}
-    for name, mask_lab in (("mid", ~polar), ("polar", polar)):
-        pts = X[mask_lab[own]]
-        region = kept[mask_lab[labels]]
-        if not len(pts) or not len(region):
-            out[name] = float("nan")
-            continue
-        out[name] = float(cKDTree(pts).query(region)[0].max()) / sep
-    return out
-
-
-def cmd_reproduce(args) -> int:
-    defaults = _reproduce_defaults()
-    entry = defaults["examples"][args.example]
-    n = args.n or entry["run_n"]
-    cset, fld, s, n, const = _build_problem(entry["set"], entry["field"], entry["s"], n)
-    opts = dict(entry["settings"])
-    if args.iters:
-        opts["max_iters"] = args.iters
-    if args.restarts:
-        opts["restarts"] = args.restarts
-    if args.seed is not None:
-        opts["seed"] = args.seed
-    settings = _settings_from({k: v for k, v in opts.items() if k != "seed"}, opts.get("seed"))
-    out_dir = args.out or f"riesz-reproduce-{args.example}"
-    label = f"catalog field {args.example}, n = {n}"
-    measure, result, report, report_dict, t0 = _run_problem(
-        cset, fld, s, n, const, settings, "reproducible", out_dir, label
-    )
-
+def _compare(entry, fld, measure, config, report):
+    """The run's numbers against the published windows of ``entry``."""
     pub = entry["published"]
-    comparison = {
-        "published_n": entry["published_n"],
-        "run_n": n,
-        "reduced_n": n < entry["published_n"],
-        "checks": {},
-    }
-    checks = comparison["checks"]
-    checks["separation"] = _check(
-        pub["separation"]["value"], report.separation, pub["separation"]["rel_tol"]
-    )
+    window = pub["separation"]
+    checks = {"separation": _check(window["value"], report.separation, window["rel_tol"])}
     if "mesh_ratio_mid" in pub:
-        ratios = _region_mesh_ratios(cset, fld, measure, result.config, cset.mesh())
+        ratios = diagnostics.region_mesh_ratios(
+            config, fld, measure.l1, report.separation, config.cset.mesh()
+        )
         for name in ("mid", "polar"):
             window = pub[f"mesh_ratio_{name}"]
             checks[f"mesh_ratio_{name}"] = _check(window["value"], ratios[name], window["rel_tol"])
     if "void_field_level" in pub:
         level = pub["void_field_level"]["value"]
-        qmax = float(np.max(fld.evaluate(result.config.points)))
+        qmax = float(np.max(fld.evaluate(config.points)))
         checks["void_avoidance"] = {
             "published": level,
             "computed": qmax,
             "within": bool(qmax < level),
         }
     if "histogram_sup_dev" in pub:
-        table = diagnostics.empirical_density(result.config)
+        table = diagnostics.empirical_density(config)
         eq = diagnostics.density_table_average(measure, table)
         dev = float(np.max(np.abs(table["density"] - eq)))
         checks["histogram_sup_dev"] = {
@@ -336,30 +288,37 @@ def cmd_reproduce(args) -> int:
             "computed": dev,
             "within": bool(dev <= pub["histogram_sup_dev"]["value"]),
         }
-    comparison["all_within"] = all(c["within"] for c in checks.values())
-    report_dict["comparison"] = comparison
+    return {
+        "published_n": entry["published_n"],
+        "run_n": config.n,
+        "reduced_n": config.n < entry["published_n"],
+        "checks": checks,
+        "all_within": all(c["within"] for c in checks.values()),
+    }
 
-    _finish_run(out_dir, result, measure, cset, fld, report_dict, t0)
-    for name, c in checks.items():
-        verdict = "PASS" if c["within"] else "FAIL"
-        tol = f" (rel_tol {c['rel_tol']:g})" if "rel_tol" in c else ""
-        print(f"  {name}: computed {c['computed']:.6g} vs published {c['published']:.6g}{tol} {verdict}")
+
+def cmd_reproduce(args) -> int:
+    entry = _reproduce_defaults()["examples"][args.example]
+    n = entry["run_n"] if args.n is None else args.n
+    cset, fld, s, n, const = _build_problem(entry["set"], entry["field"], entry["s"], n)
+    opts = dict(entry["settings"])
+    if args.iters is not None:
+        opts["max_iters"] = args.iters
+    if args.restarts is not None:
+        opts["restarts"] = args.restarts
+    if args.seed is not None:
+        opts["seed"] = args.seed
+    settings = _settings_from({k: v for k, v in opts.items() if k != "seed"}, opts.get("seed"))
+    out_dir = args.out or f"riesz-reproduce-{args.example}"
+    label = f"catalog field {args.example}, n = {n}"
+    _run(cset, fld, s, n, const, settings, "reproducible", out_dir, label, entry)
     return 0
 
 
 def cmd_design(args) -> int:
     set_desc = _load_json(args.set_json)
     rho_desc = _load_json(args.rho_json)
-    try:
-        cset = set_from_descriptor(set_desc)
-    except (ValueError, TypeError, KeyError) as e:
-        raise CliError(EXIT_CONFIG, f"bad set descriptor: {e}") from e
-    s = args.s
-    if s < cset.hausdorff_dim:
-        raise CliError(
-            EXIT_CONFIG,
-            f"hypersingular regime requires s >= d; got s={s:g}, d={cset.hausdorff_dim}",
-        )
+    cset, s = _problem_set(set_desc, args.s)
     try:
         rho = density_from_descriptor(rho_desc, cset)
         total = integrate_adaptive(cset, rho.evaluate, breaks=rho.breaks, tol=1e-12)

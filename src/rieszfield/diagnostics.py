@@ -36,6 +36,7 @@ __all__ = [
     "weak_star_error",
     "energy_ratio",
     "sublevel_components",
+    "region_mesh_ratios",
     "build_report",
     "write_density_csv",
 ]
@@ -251,6 +252,35 @@ def sublevel_components(cset: CompactSet, mesh, fld, threshold: float) -> tuple[
     )
     _, labels = sparse.csgraph.connected_components(adj, directed=False)
     return kept, labels
+
+
+def region_mesh_ratios(config: Configuration, fld, l1: float, sep: float, mesh) -> dict:
+    """Covering radius of each region of the occupied sublevel set over
+    the separation ``sep``, pooled into "mid" (the equatorial band) and
+    "polar" (the caps); built for catalog field a on the sphere.
+
+    The occupied sublevel is {q <= max_i q(x_i)}, capped at l1: the
+    limit density vanishes toward the support boundary, so covering
+    against the full support is dominated by the empty low-density
+    collar rather than by the point pattern.  ``mesh`` is (points, fill)
+    as from CompactSet.mesh(); a region without points or mesh points
+    is nan.
+    """
+    X = config.points
+    level = min(float(np.asarray(fld.evaluate(X), dtype=float).max()), l1)
+    kept, labels = sublevel_components(config.cset, mesh, fld, level)
+    means = np.array([abs(kept[labels == k][:, 2].mean()) for k in range(int(labels.max()) + 1)])
+    polar = means > 0.5
+    own = labels[cKDTree(kept).query(X)[1]]
+    out = {}
+    for name, mask_lab in (("mid", ~polar), ("polar", polar)):
+        pts = X[mask_lab[own]]
+        region = kept[mask_lab[labels]]
+        if not len(pts) or not len(region):
+            out[name] = float("nan")
+            continue
+        out[name] = float(cKDTree(pts).query(region)[0].max()) / sep
+    return out
 
 
 # ---------------------------------------------------------------------------

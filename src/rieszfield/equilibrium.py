@@ -33,9 +33,6 @@ __all__ = [
     "EquilibriumError",
     "EquilibriumMeasure",
     "solve_equilibrium",
-    "solve_l1",
-    "density_at",
-    "s_limit",
     "integrate_adaptive",
 ]
 
@@ -409,24 +406,6 @@ def solve_equilibrium(
         cells.cw.ravel(), cells.cq.ravel(),
         cells.cP.reshape(-1, cells.dim), info,
     )
-
-
-def solve_l1(cset: CompactSet, field, s: float, c_sd: RieszConstant | None = None, **kw) -> float:
-    """The constant L1 of the mass equation (see solve_equilibrium)."""
-    return solve_equilibrium(cset, field, s, c_sd, **kw).l1
-
-
-def density_at(measure: EquilibriumMeasure, x) -> np.ndarray | float:
-    """Limiting density at one point or an array of points."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    vals = measure.density(np.atleast_2d(x))
-    return float(vals[0]) if single else vals
-
-
-def s_limit(measure: EquilibriumMeasure) -> float:
-    """First-order limit S(q, A) of minimal energy over tau."""
-    return measure.s_value
 
 
 def integrate_adaptive(

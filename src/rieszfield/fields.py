@@ -90,16 +90,19 @@ def _qa_eval(X):
     return (4.0 * z**3 - 3.0 * z) ** 16
 
 
-def _qa_grad(X):
+def _z_chain(X, dz):
+    # ambient gradient of q(z) from dq/dz, chain rule through z = x3/|x|
     n = np.linalg.norm(X, axis=1)
-    z = X[:, 2] / n
-    dz = 16.0 * (4.0 * z**3 - 3.0 * z) ** 15 * (12.0 * z * z - 3.0)
-    # chain rule through z = x3/|x|
     out = np.empty_like(X)
     out[:, 0] = dz * (-X[:, 2] * X[:, 0] / n**3)
     out[:, 1] = dz * (-X[:, 2] * X[:, 1] / n**3)
     out[:, 2] = dz * (1.0 / n - X[:, 2] ** 2 / n**3)
     return out
+
+
+def _qa_grad(X):
+    z = _z_coord(X)
+    return _z_chain(X, 16.0 * (4.0 * z**3 - 3.0 * z) ** 15 * (12.0 * z * z - 3.0))
 
 
 def _caps_raw(X):
@@ -121,16 +124,9 @@ def _qb_eval(X):
 
 
 def _qb_grad(X):
-    Z = _caps_normalizer()
-    n = np.linalg.norm(X, axis=1)
-    z = X[:, 2] / n
+    z = _z_coord(X)
     draw = np.where(z * z > 0.5, 10.0 * (32.0 * z**3 - 16.0 * z) / (2.0 * np.pi), 0.0)
-    dz = -2.0 * np.pi * draw / Z
-    out = np.empty_like(X)
-    out[:, 0] = dz * (-X[:, 2] * X[:, 0] / n**3)
-    out[:, 1] = dz * (-X[:, 2] * X[:, 1] / n**3)
-    out[:, 2] = dz * (1.0 / n - X[:, 2] ** 2 / n**3)
-    return out
+    return _z_chain(X, -2.0 * np.pi * draw / _caps_normalizer())
 
 
 def _radial_eval(center, exponent, scale):
@@ -312,7 +308,7 @@ def perturbed_density(cset: CompactSet, rho, s: float, delta: float, c_sd=None) 
         label=f"{q0.label}*(1{delta / M:+g})",
         breaks=q0.breaks,
     )
-    mu = solve_equilibrium(cset, q_pert, s, c_sd=design_constant(design, c_sd))
+    mu = solve_equilibrium(cset, q_pert, s, c_sd=c_sd)
 
     def bound(X, _f=design.target_density.evaluate):
         r = np.asarray(_f(np.atleast_2d(X)), dtype=float)
@@ -327,12 +323,6 @@ def perturbed_density(cset: CompactSet, rho, s: float, delta: float, c_sd=None) 
         delta=delta,
         m_constant=M,
     )
-
-
-def design_constant(design: FieldDesign, c_sd):
-    # reuse the caller's constant when supplied so design and re-solve
-    # agree bit for bit
-    return c_sd if c_sd is not None else riesz_constant(design.s, design.d)
 
 
 # ---------------------------------------------------------------------------

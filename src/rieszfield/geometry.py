@@ -288,8 +288,9 @@ def make_param_set(
     Quadrature is product Gauss-Legendre with ``n_quad`` nodes per axis
     weighted by ``chart_jacobian``.  Validation is limited to the
     weight-sum sanity of the resulting rule; smoothness of the chart is
-    trusted.  Tangent projection defaults to finite-difference chart
-    tangents (orthonormalized); supply an analytic one when available.
+    trusted.  Tangent projection defaults to a basis from central
+    differences of ``retract`` along the ambient axes; supply an
+    analytic one when available.
     """
     param_bounds = tuple((float(lo), float(hi)) for lo, hi in param_bounds)
     dim = len(param_bounds)
@@ -315,7 +316,7 @@ def make_param_set(
         raise ValueError("chart jacobian must be positive and finite on the grid")
 
     if tangent_project is None:
-        tangent_project = _numeric_tangent_project(chart, param_bounds, retract)
+        tangent_project = _numeric_tangent_project(param_bounds, retract)
 
     total = float(weights.sum())
     from scipy.spatial.distance import pdist
@@ -340,31 +341,24 @@ def make_param_set(
     )
 
 
-def _numeric_tangent_project(chart, param_bounds, retract):
-    # tangent basis from retraction differences: project the vector onto
-    # the span of local surface displacements around the footpoint
+def _numeric_tangent_project(param_bounds, retract):
+    # near a point of the set, the central differences of the retraction
+    # along the ambient axes span the tangent plane; their leading left
+    # singular vectors are an orthonormal basis of it
+    dim = len(param_bounds)
+    h = 1e-6 * max(hi - lo for lo, hi in param_bounds)
+
     def tangent_project(pts, vecs):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         vecs = np.atleast_2d(np.asarray(vecs, dtype=float))
-        h = 1e-6 * max(hi - lo for lo, hi in param_bounds)
-        out = np.empty_like(vecs)
-        for i, (x, v) in enumerate(zip(pts, vecs)):
-            # displacements of the retraction around x span the tangent plane
-            basis = []
-            for k in range(x.size):
-                e = np.zeros_like(x)
-                e[k] = h
-                d = retract((x + e)[None, :])[0] - retract((x - e)[None, :])[0]
-                nrm = np.linalg.norm(d)
-                if nrm > 1e-14:
-                    d = d / nrm
-                    for b in basis:
-                        d -= np.dot(d, b) * b
-                    nrm = np.linalg.norm(d)
-                    if nrm > 1e-7:
-                        basis.append(d / nrm)
-            out[i] = sum(np.dot(v, b) * b for b in basis) if basis else 0.0
-        return out
+        n, p = pts.shape
+        step = h * np.eye(p)
+        ahead = retract((pts[:, None, :] + step).reshape(-1, p))
+        behind = retract((pts[:, None, :] - step).reshape(-1, p))
+        # column k of block i: retract(x_i + h e_k) - retract(x_i - h e_k)
+        diffs = (ahead - behind).reshape(n, p, p).transpose(0, 2, 1)
+        basis = np.linalg.svd(diffs)[0][:, :, :dim]
+        return np.einsum("nik,nk->ni", basis, np.einsum("nik,ni->nk", basis, vecs))
 
     return tangent_project
 

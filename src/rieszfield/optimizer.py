@@ -112,22 +112,22 @@ def _pair_energy(X: np.ndarray, s: float, guard: float) -> float:
     return 2.0 * float((r ** -s).sum())
 
 
-def energy(config: Configuration, fld: ExternalField, s: float, scale_N: int | None = None) -> float:
+def energy(config: Configuration, fld: ExternalField, s: float) -> float:
     """E^q of the configuration; +inf is a representable value (points on
     field poles or under the collision guard), exact coincidence raises."""
     X = config.points
     d = config.cset.hausdorff_dim
-    n = scale_N if scale_N is not None else config.n
+    n = config.n
     pair = _pair_energy(X, s, 1e-12 * config.cset.diameter)
     qv = np.asarray(fld.evaluate(X), dtype=float)
     return pair + tau(s, d, n) / n * float(qv.sum())
 
 
-def energy_gradient(config: Configuration, fld: ExternalField, s: float, scale_N: int | None = None) -> np.ndarray:
+def energy_gradient(config: Configuration, fld: ExternalField, s: float) -> np.ndarray:
     """Tangent-projected ambient gradient of the energy, one row per point."""
     X = config.points
     cset = config.cset
-    n = scale_N if scale_N is not None else config.n
+    n = config.n
     diff = X[:, None, :] - X[None, :, :]
     r2 = np.einsum("ijk,ijk->ij", diff, diff)
     np.fill_diagonal(r2, np.inf)
@@ -165,7 +165,6 @@ def _sample_initial(cset: CompactSet, N: int, rng, mode: str, measure) -> np.nda
         r = pdist(X)
         if len(X) < 2 or r.min() > 1e-9 * cset.diameter:
             break
-        dup = np.unique(np.sort(idx))  # noqa: F841  (kept for debugging)
         scale = 2e-3 * cset.diameter
         X = cset.retract(X + rng.normal(scale=scale, size=X.shape))
     return X

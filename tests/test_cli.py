@@ -233,10 +233,33 @@ def test_reproduce_reduced(tmp_path, capsys, validate_report_schema):
     assert "PASS" in stdout or "FAIL" in stdout
 
 
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--n", "need at least 2 points"),
+        ("--iters", "bad optimizer settings"),
+        ("--restarts", "bad optimizer settings"),
+    ],
+)
+def test_reproduce_zero_override_rejected(tmp_path, capsys, flag, message):
+    # 0 is an override like any other, not a request for the default
+    assert cli.main(["reproduce", "e", "--out", str(tmp_path / "rep"), flag, "0"]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
 def test_reproduce_unknown_example():
     with pytest.raises(SystemExit) as exc:
         cli.main(["reproduce", "z"])
     assert exc.value.code == 2
+
+
+def _subprocess_env(**overrides):
+    """os.environ plus overrides, with this package's source on PYTHONPATH."""
+    env = dict(os.environ, **overrides)
+    src = str(Path(rieszfield.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def test_thread_cap_env(tmp_path):
@@ -244,7 +267,7 @@ def test_thread_cap_env(tmp_path):
         "import rieszfield.cli, os;"
         "print(os.environ['OMP_NUM_THREADS'], os.environ['OPENBLAS_NUM_THREADS'])"
     )
-    env = dict(os.environ, RIESZ_THREADS="3")
+    env = _subprocess_env(RIESZ_THREADS="3")
     env.pop("OMP_NUM_THREADS", None)
     env.pop("OPENBLAS_NUM_THREADS", None)
     res = subprocess.run(
@@ -255,7 +278,7 @@ def test_thread_cap_env(tmp_path):
 
 def test_thread_cap_respects_existing(tmp_path):
     code = "import rieszfield.cli, os; print(os.environ['OMP_NUM_THREADS'])"
-    env = dict(os.environ, RIESZ_THREADS="3", OMP_NUM_THREADS="5")
+    env = _subprocess_env(RIESZ_THREADS="3", OMP_NUM_THREADS="5")
     res = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
@@ -290,12 +313,9 @@ def test_console_entry_point(tmp_path):
         "sys.argv[0] = 'rieszfield'\n"
         "sys.exit(main())\n"
     )
-    src = str(Path(rieszfield.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     res = subprocess.run(
         [sys.executable, "-c", launcher, "constants", "--s", "4", "--d", "1"],
-        capture_output=True, text=True, env=env, cwd=tmp_path,
+        capture_output=True, text=True, env=_subprocess_env(), cwd=tmp_path,
     )
     _assert_constants_s4_d1(res)
 

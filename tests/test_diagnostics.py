@@ -15,6 +15,7 @@ from rieszfield.diagnostics import (
     energy_ratio,
     mesh_ratio,
     point_potential,
+    region_mesh_ratios,
     separation,
     sublevel_components,
     weak_star_error,
@@ -194,6 +195,26 @@ def test_sublevel_components_three_bands(sphere):
     assert zmeans[0] == pytest.approx(-zmeans[2], abs=0.02)
     assert abs(zmeans[1]) < 0.02
     assert 0.7 < zmeans[2] < 0.85
+
+
+def test_region_mesh_ratios(sphere, measure_a, rng):
+    # seeded quasi-uniform configuration: a randomly rotated Fibonacci sphere
+    n = 400
+    k = np.arange(n) + 0.5
+    z = 1.0 - 2.0 * k / n
+    phi = k * math.pi * (3.0 - math.sqrt(5.0))
+    r = np.sqrt(1.0 - z * z)
+    fib = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+    rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    cfg = _cfg(fib @ rot.T, sphere)
+    fld, mesh, sep = catalog("a"), sphere.mesh(0.04), separation(cfg)
+    ratios = region_mesh_ratios(cfg, fld, measure_a.l1, sep, mesh)
+    assert set(ratios) == {"mid", "polar"}
+    for value in ratios.values():
+        assert math.isfinite(value) and 0.0 < value < 5.0
+    halved = region_mesh_ratios(cfg, fld, measure_a.l1, 2.0 * sep, mesh)
+    for name in ratios:
+        assert halved[name] == pytest.approx(ratios[name] / 2.0, rel=1e-12)
 
 
 def test_build_report_consistency(interval02, measure_e):

@@ -8,9 +8,7 @@ from rieszfield.constants import m_constant, zeta
 from rieszfield.equilibrium import (
     EquilibriumError,
     integrate_adaptive,
-    s_limit,
     solve_equilibrium,
-    solve_l1,
 )
 from rieszfield.fields import ExternalField, catalog
 from rieszfield.geometry import make_interval, make_sphere
@@ -72,13 +70,13 @@ def test_catalog_d_oracle(sphere):
 
 
 def test_shift_equivariance(interval02):
-    base = solve_l1(interval02, catalog("e"), 4.0)
+    base = solve_equilibrium(interval02, catalog("e"), 4.0).l1
     qe = catalog("e")
     for c in (-1.0, 0.5, 3.0):
         shifted = ExternalField(
             lambda X, _c=c: qe.evaluate(X) + _c, breaks=qe.breaks, label="shifted"
         )
-        assert solve_l1(interval02, shifted, 4.0) == pytest.approx(base + c, abs=1e-9)
+        assert solve_equilibrium(interval02, shifted, 4.0).l1 == pytest.approx(base + c, abs=1e-9)
 
 
 def test_density_matches_clip_formula(measure_e, interval02):
@@ -96,7 +94,6 @@ def test_s_value_consistency(measure_e):
     int_q = measure_e.integrate(lambda X: measure_e.field.evaluate(X))
     expect = (measure_e.l1 + ratio * int_q) / (1.0 + ratio)
     assert measure_e.s_value == pytest.approx(expect, rel=1e-9)
-    assert s_limit(measure_e) == measure_e.s_value
 
 
 def test_tolerance_refinement(interval02):

@@ -116,6 +116,24 @@ def test_param_set_circle():
     assert circ.integrate(lambda X: X[:, 0] ** 2) == pytest.approx(math.pi * R**3, rel=1e-10)
 
 
+@pytest.mark.parametrize("kind", ["sphere", "torus"])
+def test_param_set_default_tangent_project(kind, sphere, torus24, rng):
+    # the default projection, built from the retraction alone, must match
+    # the analytic one, also where an ambient axis is normal to the set
+    ref = {"sphere": sphere, "torus": torus24}[kind]
+    built = make_param_set(
+        ref.chart, ref.chart_jacobian, ref.param_bounds, ref.retract,
+        ambient_dim=3, n_quad=(16, 16),
+    )
+    extremes = {
+        "sphere": [[0, 0, 1], [0, 0, -1]],
+        "torus": [[3, 0, 1], [3, 0, -1], [0, -3, 1], [-3, 0, -1]],
+    }[kind]
+    X = np.vstack([ref.retract(rng.normal(size=(500, 3))), extremes])
+    V = rng.normal(size=X.shape)
+    assert np.allclose(built.tangent_project(X, V), ref.tangent_project(X, V), rtol=0, atol=1e-8)
+
+
 def test_descriptor_round_trip(interval02, sphere, torus24):
     for cset in (interval02, sphere, torus24):
         clone = set_from_descriptor(cset.descriptor())
