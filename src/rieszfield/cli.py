@@ -173,13 +173,16 @@ def _run(cset, fld, s, n, const, settings, mode, out_dir, label, entry=None):
     """
     t0 = time.perf_counter()
     measure = solve_equilibrium(cset, fld, s, c_sd=const)
+    t_equilibrium = time.perf_counter()
     result = minimize(cset, fld, s, n, settings, measure=measure)
+    t_minimize = time.perf_counter()
     # fast mode trades covering-radius resolution for wall time
     fill = None
     if mode == "fast":
         scale = 2e-3 if cset.hausdorff_dim == 1 else 2e-2
         fill = scale * cset.diameter
     report = diagnostics.build_report(result.config, fld, s, measure, mesh=cset.mesh(fill))
+    t_diagnostics = time.perf_counter()
     comparison = None if entry is None else _compare(entry, fld, measure, result.config, report)
     d = cset.hausdorff_dim
     report_dict = {
@@ -206,6 +209,11 @@ def _run(cset, fld, s, n, const, settings, mode, out_dir, label, entry=None):
         "iterations": int(result.trace[-1, 0]) + 1 if len(result.trace) else 0,
         "diagnostics": report.to_dict(),
         "comparison": comparison,
+    }
+    report_dict["timings"] = {
+        "equilibrium_s": t_equilibrium - t0,
+        "minimize_s": t_minimize - t_equilibrium,
+        "diagnostics_s": t_diagnostics - t_minimize,
     }
     report_dict["wall_time_s"] = time.perf_counter() - t0
     _write_run(Path(out_dir), result, measure, cset, fld, report_dict)

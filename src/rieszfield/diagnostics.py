@@ -18,10 +18,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy import sparse
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import pdist
 
 from .geometry import CompactSet
-from .optimizer import Configuration, energy, tau
+from .optimizer import Configuration, _pair_kernel, energy, tau
 
 __all__ = [
     "DiagnosticsReport",
@@ -43,10 +42,10 @@ __all__ = [
 
 
 def separation(config: Configuration) -> float:
-    """Minimal pairwise distance, exact O(N^2) scan."""
+    """Minimal pairwise distance, exact O(N^2) scan in O(N) memory."""
     if config.n < 2:
         raise ValueError("separation needs at least two points")
-    return float(pdist(config.points).min())
+    return math.sqrt(_pair_kernel(config.points, None)[1])
 
 
 class CoveringEstimate(NamedTuple):

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from .fields import ExternalField, field_gradient
 from .geometry import CompactSet
@@ -100,16 +100,54 @@ class OptimizerSettings:
             raise ValueError(f"unknown init mode {self.init!r}")
 
 
-def _pair_energy(X: np.ndarray, s: float, guard: float) -> float:
-    if len(X) < 2:
-        return 0.0
-    r = pdist(X)
-    m = r.min()
-    if m == 0.0:
-        raise ValueError("coincident points give infinite energy")
-    if m < guard:
-        return np.inf
-    return 2.0 * float((r ** -s).sum())
+# Entries per block of squared distances: 2^17 doubles = 1 MiB, so each
+# block array stays inside one core's L2 cache.
+_BLOCK_ENTRIES = 1 << 17
+
+
+def _pair_kernel(X: np.ndarray, s: float | None, gradient: bool = False):
+    """One pass over the pairs of X in row blocks of squared distances.
+
+    Returns (energy, r2min, G): the pair energy over ordered pairs,
+    sum_{i != j} |x_i - x_j|^(-s) (0 when ``s`` is None: distances only),
+    the smallest squared distance (inf for fewer than two points) and,
+    with ``gradient``, the ambient pair gradient (else None).  Each
+    unordered pair is visited once; peak memory is one block.  Squared
+    distances are exact coordinate differences, so r2min == 0 means exact
+    coincidence.
+    """
+    n = len(X)
+    rows = max(1, _BLOCK_ENTRIES // max(n, 1))
+    total, r2min = 0.0, np.inf
+    G = np.zeros_like(X) if gradient else None
+    # coincident points (r2 = 0) are left to the caller's checks
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for i0 in range(0, n, rows):
+            i1 = min(i0 + rows, n)
+            Xr, Xc = X[i0:i1], X[i1:]
+            # the pairs within the rows (condensed), then the rows against
+            # every later point
+            for r2, cols in ((pdist(Xr, "sqeuclidean"), None), (cdist(Xr, Xc, "sqeuclidean"), Xc)):
+                if r2.size == 0:
+                    continue
+                r2min = min(r2min, float(r2.min()))
+                if s is None:
+                    continue
+                w = r2 ** (-0.5 * s)
+                total += 2.0 * float(w.sum())
+                if not gradient:
+                    continue
+                # sum_j c_ij (x_i - x_j) = x_i sum_j c_ij - (c @ X_j)_i
+                c = w / r2
+                if cols is None:
+                    # the square form holds both orders of each pair
+                    c = squareform(c)
+                    G[i0:i1] -= 2.0 * s * (Xr * c.sum(axis=1)[:, None] - c @ Xr)
+                else:
+                    # rows, and the columns by Newton's third law
+                    G[i0:i1] -= 2.0 * s * (Xr * c.sum(axis=1)[:, None] - c @ cols)
+                    G[i1:] -= 2.0 * s * (cols * c.sum(axis=0)[:, None] - c.T @ Xr)
+    return total, r2min, G
 
 
 def energy(config: Configuration, fld: ExternalField, s: float) -> float:
@@ -118,7 +156,11 @@ def energy(config: Configuration, fld: ExternalField, s: float) -> float:
     X = config.points
     d = config.cset.hausdorff_dim
     n = config.n
-    pair = _pair_energy(X, s, 1e-12 * config.cset.diameter)
+    pair, r2min, _ = _pair_kernel(X, s)
+    if r2min == 0.0:
+        raise ValueError("coincident points give infinite energy")
+    if r2min < (1e-12 * config.cset.diameter) ** 2:
+        pair = np.inf
     qv = np.asarray(fld.evaluate(X), dtype=float)
     return pair + tau(s, d, n) / n * float(qv.sum())
 
@@ -128,11 +170,7 @@ def energy_gradient(config: Configuration, fld: ExternalField, s: float) -> np.n
     X = config.points
     cset = config.cset
     n = config.n
-    diff = X[:, None, :] - X[None, :, :]
-    r2 = np.einsum("ijk,ijk->ij", diff, diff)
-    np.fill_diagonal(r2, np.inf)
-    coef = r2 ** (-(s + 2.0) / 2.0)
-    G = -2.0 * s * np.einsum("ij,ijk->ik", coef, diff)
+    G = _pair_kernel(X, s, gradient=True)[2]
     G += tau(s, cset.hausdorff_dim, n) / n * field_gradient(fld, X, cset)
     return cset.tangent_project(X, G)
 
@@ -162,8 +200,7 @@ def _sample_initial(cset: CompactSet, N: int, rng, mode: str, measure) -> np.nda
     # jitter duplicate draws back apart; discrete nodes can repeat when
     # N exceeds the node count
     for _ in range(100):
-        r = pdist(X)
-        if len(X) < 2 or r.min() > 1e-9 * cset.diameter:
+        if _pair_kernel(X, None)[1] > (1e-9 * cset.diameter) ** 2:
             break
         scale = 2e-3 * cset.diameter
         X = cset.retract(X + rng.normal(scale=scale, size=X.shape))

@@ -77,6 +77,9 @@ def test_solve_end_to_end(tmp_path, capsys, validate_report_schema):
     assert report["mode"] == "fast"
     assert report["comparison"] is None
     assert sorted(report["files"]) == sorted(RUN_FILES)
+    timings = report["timings"]
+    assert set(timings) == {"equilibrium_s", "minimize_s", "diagnostics_s"}
+    assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
     # descriptors written to the report must round trip through the loaders
     cset = set_from_descriptor(report["set"])
     assert cset.kind == "interval"

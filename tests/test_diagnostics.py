@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +39,20 @@ def test_separation_hand_value(interval01):
     assert separation(cfg) == pytest.approx(0.3, rel=1e-15)
     with pytest.raises(ValueError):
         separation(_cfg([[0.5]], interval01))
+
+
+@pytest.mark.parametrize("kind", ["interval02", "sphere", "torus24"])
+def test_separation_multiblock_brute_force(kind, request, rng):
+    # N = 1000 spans several row blocks of the pair kernel; the closest
+    # pair is placed across blocks, between the first and the last point
+    cset = request.getfixturevalue(kind)
+    lo, hi = np.array(cset.param_bounds).T
+    X = cset.chart(rng.uniform(lo, hi, size=(1000, len(lo))))
+    X[-1] = X[0] + 1e-4 * cset.diameter / math.sqrt(X.shape[1])
+    brute = min(np.linalg.norm(X[i + 1:] - X[i], axis=1).min() for i in range(len(X) - 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert separation(_cfg(X, cset)) == pytest.approx(brute, rel=1e-14)
 
 
 def test_covering_radius_explicit_mesh(interval01):

@@ -1,12 +1,16 @@
 import csv
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 from rieszfield.fields import ExternalField, catalog
 from rieszfield.geometry import make_interval, make_sphere
 from rieszfield.optimizer import (
+    _BLOCK_ENTRIES,
     Configuration,
     MinimizeResult,
     OptimizerFailure,
@@ -85,6 +89,78 @@ def test_gradient_is_tangent(sphere, rng):
     X = sphere.retract(rng.normal(size=(12, 3)))
     G = energy_gradient(Configuration(X, sphere), catalog("a"), 2.0)
     assert np.max(np.abs((G * X).sum(axis=1))) < 1e-10
+
+
+# N large enough that the pair kernel walks several row blocks, so the
+# off-diagonal blocks and their column updates run
+MULTI_N = 1000
+
+
+def _multiblock_config(kind, request, rng):
+    assert MULTI_N >= 4 * (_BLOCK_ENTRIES // MULTI_N)  # at least four row blocks
+    cset = request.getfixturevalue(kind)
+    lo, hi = np.array(cset.param_bounds).T
+    return Configuration(cset.chart(rng.uniform(lo, hi, size=(MULTI_N, len(lo)))), cset)
+
+
+def _dense_pair_gradient(X, s):
+    # the N x N x p reference formula: d/dx_i sum_{j != k} |x_j - x_k|^-s
+    diff = X[:, None, :] - X[None, :, :]
+    r2 = (diff**2).sum(axis=2)
+    np.fill_diagonal(r2, np.inf)
+    return -2.0 * s * ((r2 ** (-(s + 2.0) / 2.0))[:, :, None] * diff).sum(axis=1)
+
+
+@pytest.mark.parametrize("kind", ["interval02", "sphere", "torus24"])
+def test_energy_multiblock_matches_pdist(kind, request, rng):
+    cfg = _multiblock_config(kind, request, rng)
+    ref = 2.0 * float((pdist(cfg.points) ** -4.0).sum())
+    assert energy(cfg, ZERO, 4.0) == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["interval02", "sphere", "torus24"])
+def test_gradient_multiblock_matches_dense(kind, request, rng):
+    cfg = _multiblock_config(kind, request, rng)
+    X, cset = cfg.points, cfg.cset
+    ref = cset.tangent_project(X, _dense_pair_gradient(X, 4.0))
+    G = energy_gradient(cfg, ZERO, 4.0)
+    rel = np.linalg.norm(G - ref, axis=1) / np.linalg.norm(ref, axis=1)
+    assert rel.max() < 1e-9
+
+
+@pytest.mark.parametrize("kind", ["interval02", "sphere", "torus24"])
+def test_multiblock_coincidence_and_guard(kind, request, rng):
+    # the closest pair is the first and last point: an off-diagonal block
+    cfg = _multiblock_config(kind, request, rng)
+    X = cfg.points.copy()
+    X[-1] = X[0]
+    with pytest.raises(ValueError, match="coincident"):
+        energy(Configuration(X, cfg.cset), ZERO, 4.0)
+    X[-1, 0] += 1e-13 * cfg.cset.diameter
+    assert energy(Configuration(X, cfg.cset), ZERO, 4.0) == np.inf
+
+
+@pytest.mark.parametrize("kind", ["interval02", "sphere", "torus24"])
+def test_multiblock_kernels_do_not_warn(kind, request, rng):
+    cfg = _multiblock_config(kind, request, rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(energy(cfg, ZERO, 4.0))
+        assert np.all(np.isfinite(energy_gradient(cfg, ZERO, 4.0)))
+
+
+@pytest.mark.parametrize("kernel", [energy, energy_gradient])
+def test_pair_kernel_memory_is_bounded(kernel, sphere):
+    # the dense kernels peaked at 72 MB (energy) and 360 MB (gradient) on this input
+    X = sphere.retract(np.random.default_rng(7).normal(size=(3000, 3)))
+    cfg = Configuration(X, sphere)
+    tracemalloc.start()
+    try:
+        kernel(cfg, catalog("d"), 4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_minimize_two_points(interval01):
