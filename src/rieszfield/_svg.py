@@ -1,6 +1,6 @@
 """Minimal self-contained SVG scatter writer.
 
-Plots a projected point configuration with an optional support-boundary
+Plots a projected point configuration over its support-boundary
 overlay (drawn as small dots tracing the contour).  Everything else is
 left to the exported CSV tables; this is a quick visual sanity check,
 not a plotting library.
@@ -13,6 +13,8 @@ import numpy as np
 _W = 640
 _H = 640
 _PAD = 40
+# parameter grid points per axis of a surface contour (40x that on curves)
+_CONTOUR_RES = 220
 
 
 def _bbox(arrays):
@@ -25,10 +27,10 @@ def _bbox(arrays):
     return lo, hi
 
 
-def scatter_svg(path, points: np.ndarray, contour: np.ndarray | None = None, title: str = "") -> None:
+def scatter_svg(path, points: np.ndarray, contour: np.ndarray, title: str) -> None:
     """Write a 2-D scatter with contour dots to an SVG file."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    contour = np.zeros((0, 2)) if contour is None else np.atleast_2d(np.asarray(contour, dtype=float))
+    contour = np.atleast_2d(np.asarray(contour, dtype=float))
     lo, hi = _bbox([points, contour])
     span = hi - lo
     scale = min((_W - 2 * _PAD) / span[0], (_H - 2 * _PAD) / span[1])
@@ -43,12 +45,9 @@ def scatter_svg(path, points: np.ndarray, contour: np.ndarray | None = None, tit
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
+        f'<text x="{_W / 2:.0f}" y="24" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="14">{title}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{_W / 2:.0f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
-        )
     for x, y in contour:
         parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="1" fill="#cc4444"/>')
     for x, y in points:
@@ -70,23 +69,23 @@ def project_points(X: np.ndarray) -> np.ndarray:
     return X[:, :2]
 
 
-def support_contour(cset, measure, resolution: int = 220) -> np.ndarray:
+def support_contour(cset, measure) -> np.ndarray:
     """Ambient midpoints of parameter-grid edges where the support
     indicator flips; projected, they trace the support boundary."""
     bounds = cset.param_bounds
     if len(bounds) == 1:
         (a, b) = bounds[0]
-        t = np.linspace(a, b, 40 * resolution)[:, None]
+        t = np.linspace(a, b, 40 * _CONTOUR_RES)[:, None]
         ind = measure.support_indicator(cset.chart(t))
         flip = np.nonzero(ind[1:] != ind[:-1])[0]
         mids = cset.chart(0.5 * (t[flip] + t[flip + 1]))
         return project_points(mids)
     (a0, b0), (a1, b1) = bounds
-    u = np.linspace(a0, b0, resolution)
-    v = np.linspace(a1, b1, resolution)
+    u = np.linspace(a0, b0, _CONTOUR_RES)
+    v = np.linspace(a1, b1, _CONTOUR_RES)
     U, V = np.meshgrid(u, v, indexing="ij")
     P = np.column_stack([U.ravel(), V.ravel()])
-    ind = measure.support_indicator(cset.chart(P)).reshape(resolution, resolution)
+    ind = measure.support_indicator(cset.chart(P)).reshape(_CONTOUR_RES, _CONTOUR_RES)
     segs = []
     fu = np.nonzero(ind[1:, :] != ind[:-1, :])
     if len(fu[0]):

@@ -90,6 +90,13 @@ def _require(cfg: dict, key: str, where: str):
     return cfg[key]
 
 
+def _whole(value, key: str) -> int:
+    """A count from a config as an int; anything but a whole number exits 2."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not float(value).is_integer():
+        raise CliError(EXIT_CONFIG, f"{key} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _resolve_constant(s, d, override=None):
     try:
         return riesz_constant(s, d, override)
@@ -116,7 +123,6 @@ def _problem_set(set_desc, s):
 def _build_problem(set_desc, field_desc, s, n, override=None):
     """Shared validation path for solve and reproduce."""
     cset, s = _problem_set(set_desc, s)
-    n = int(n)
     if n < 2:
         raise CliError(EXIT_CONFIG, f"need at least 2 points, got n={n}")
     const = _resolve_constant(s, cset.hausdorff_dim, override)
@@ -129,8 +135,11 @@ def _build_problem(set_desc, field_desc, s, n, override=None):
 
 def _settings_from(cfg_settings: dict, seed=None) -> OptimizerSettings:
     opts = dict(cfg_settings or {})
+    for key in ("max_iters", "restarts", "rng_seed"):
+        if key in opts:
+            opts[key] = _whole(opts[key], key)
     if seed is not None:
-        opts["rng_seed"] = int(seed)
+        opts["rng_seed"] = _whole(seed, "seed")
     try:
         return OptimizerSettings(**opts)
     except (TypeError, ValueError) as e:
@@ -165,7 +174,7 @@ def _write_run(out_dir: Path, result, measure, cset, fld, report_dict):
     return report_dict["files"]
 
 
-def _run(cset, fld, s, n, const, settings, mode, out_dir, label, entry=None):
+def _run(cset, fld, s, n, const, settings, out_dir, label, entry=None):
     """Equilibrium solve, minimize, diagnostics, export and summary.
 
     ``entry`` is a reproduce_defaults.json example whose published
@@ -176,18 +185,12 @@ def _run(cset, fld, s, n, const, settings, mode, out_dir, label, entry=None):
     t_equilibrium = time.perf_counter()
     result = minimize(cset, fld, s, n, settings, measure=measure)
     t_minimize = time.perf_counter()
-    # fast mode trades covering-radius resolution for wall time
-    fill = None
-    if mode == "fast":
-        scale = 2e-3 if cset.hausdorff_dim == 1 else 2e-2
-        fill = scale * cset.diameter
-    report = diagnostics.build_report(result.config, fld, s, measure, mesh=cset.mesh(fill))
+    report = diagnostics.build_report(result.config, fld, s, measure)
     t_diagnostics = time.perf_counter()
     comparison = None if entry is None else _compare(entry, fld, measure, result.config, report)
     d = cset.hausdorff_dim
     report_dict = {
         "label": label,
-        "mode": mode,
         "seed": settings.rng_seed,
         "n_points": n,
         "set": cset.descriptor(),
@@ -234,22 +237,16 @@ def cmd_solve(args) -> int:
     cfg = _load_json(args.config)
     if not isinstance(cfg, dict):
         raise CliError(EXIT_CONFIG, f"{args.config}: run config must be a JSON object")
-    n = cfg.get("n", cfg.get("N"))
-    if n is None:
-        raise CliError(EXIT_CONFIG, f"{args.config} is missing required key 'n'")
     cset, fld, s, n, const = _build_problem(
         _require(cfg, "set", args.config),
         _require(cfg, "field", args.config),
         _require(cfg, "s", args.config),
-        n,
+        _whole(_require(cfg, "n", args.config), "n"),
         cfg.get("c_override"),
     )
-    mode = cfg.get("mode", "reproducible")
-    if mode not in ("reproducible", "fast"):
-        raise CliError(EXIT_CONFIG, f"mode must be 'reproducible' or 'fast', got {mode!r}")
     settings = _settings_from(cfg.get("settings"), cfg.get("seed"))
     out_dir = args.out or cfg.get("out_dir") or "riesz-run"
-    _run(cset, fld, s, n, const, settings, mode, out_dir, cfg.get("label", fld.label))
+    _run(cset, fld, s, n, const, settings, out_dir, cfg.get("label", fld.label))
     return 0
 
 
@@ -319,7 +316,7 @@ def cmd_reproduce(args) -> int:
     settings = _settings_from({k: v for k, v in opts.items() if k != "seed"}, opts.get("seed"))
     out_dir = args.out or f"riesz-reproduce-{args.example}"
     label = f"catalog field {args.example}, n = {n}"
-    _run(cset, fld, s, n, const, settings, "reproducible", out_dir, label, entry)
+    _run(cset, fld, s, n, const, settings, out_dir, label, entry)
     return 0
 
 

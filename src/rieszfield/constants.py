@@ -31,6 +31,9 @@ PROVENANCES = ("exact_d1", "exact_ball_volume", "conjectured_lattice", "user_ove
 # area of the fundamental cell of the unit-edge triangular lattice
 HEX_CELL_AREA = math.sqrt(3.0) / 2.0
 
+# exact lattice sum inside this radius, cosine-squared taper out to 1.5x it
+_HEX_CUTOFF = 120.0
+
 # (order, B_order) for the Euler-Maclaurin tail through B6
 _BERNOULLI = ((2, 1.0 / 6.0), (4, -1.0 / 30.0), (6, 1.0 / 42.0))
 
@@ -84,22 +87,20 @@ def zeta(s: float) -> float:
 
 
 @lru_cache(maxsize=64)
-def epstein_zeta_hex(s: float, cutoff: float = 120.0) -> float:
+def epstein_zeta_hex(s: float) -> float:
     """Zeta function of the unit-edge triangular lattice at exponent s.
 
     Sums |v|^(-s) over the nonzero lattice vectors v = m*a1 + n*a2 with
     |a1| = |a2| = 1 at 60 degrees, so |v|^2 = m^2 + m*n + n^2.  Vectors
-    inside ``cutoff`` enter exactly; a cosine-squared taper over
-    [cutoff, 1.5*cutoff] suppresses truncation ringing and a continuum
-    tail correction (lattice point density 2/sqrt(3)) accounts for the
-    remainder.  Error is near 1e-10 for s >= 3 at the default cutoff.
+    inside the cutoff radius 120 enter exactly; a cosine-squared taper
+    over [120, 180] suppresses truncation ringing and a continuum tail
+    correction (lattice point density 2/sqrt(3)) accounts for the
+    remainder.  Error is near 1e-10 for s >= 3.
     """
     s = float(s)
     if s <= 2.0:
         raise ValueError("lattice sum diverges for s <= 2")
-    r_in = float(cutoff)
-    if r_in < 10.0:
-        raise ValueError("cutoff too small for the tail correction")
+    r_in = _HEX_CUTOFF
     r_out = 1.5 * r_in
     half_width = r_out - r_in
 

@@ -84,21 +84,20 @@ def mesh_ratio(config: Configuration, mesh=None, sublevel=None) -> float:
     return covering_radius(config, mesh, sublevel).value / separation(config)
 
 
-def point_potential(x, config: Configuration, fld, s: float, scale_N: int | None = None) -> float:
+def point_potential(x, config: Configuration, fld, s: float) -> float:
     """Field-adjusted potential of one point against a configuration.
 
     Coincidences with configuration points are excluded from the pair
     sum, so evaluating at a configuration point gives its own potential.
     """
     x = np.asarray(x, dtype=float).reshape(1, -1)
-    n = scale_N if scale_N is not None else config.n
     r = np.linalg.norm(config.points - x, axis=1)
     r = r[r > 0.0]
     if len(r) == 0:
         return np.inf
     qv = float(np.asarray(fld.evaluate(x), dtype=float)[0])
     d = config.cset.hausdorff_dim
-    return float((r ** -s).sum()) + tau(s, d, n) / n * qv
+    return float((r ** -s).sum()) + tau(s, d, config.n) / config.n * qv
 
 
 def containment_check(config: Configuration, fld, l1: float) -> float:
@@ -118,14 +117,14 @@ def energy_ratio(config: Configuration, fld, s: float) -> float:
 # empirical density
 
 
-def empirical_density(config: Configuration, cset: CompactSet | None = None) -> dict:
+def empirical_density(config: Configuration) -> dict:
     """Binned density of the configuration, normalized to unit mass.
 
     Intervals get ceil(sqrt(N)) equal-width bins; spheres get that many
     equal-area latitudinal bands; any other set is counted per
     quadrature cell (nearest-node assignment, count over N*weight).
     """
-    cset = cset or config.cset
+    cset = config.cset
     X = config.points
     N = len(X)
     if N < 16:
@@ -168,7 +167,11 @@ def empirical_density(config: Configuration, cset: CompactSet | None = None) -> 
     }
 
 
-def density_table_average(measure, table: dict, samples_per_bin: int = 512) -> np.ndarray:
+# equilibrium density samples per interval bin or sphere band (per azimuth)
+_SAMPLES_PER_BIN = 512
+
+
+def density_table_average(measure, table: dict) -> np.ndarray:
     """Equilibrium density averaged over the bins of an empirical table,
     for like-for-like histogram comparisons."""
     kind = table["kind"]
@@ -176,7 +179,7 @@ def density_table_average(measure, table: dict, samples_per_bin: int = 512) -> n
         edges = table["edges"]
         out = np.empty(len(edges) - 1)
         for i in range(len(out)):
-            xs = np.linspace(edges[i], edges[i + 1], samples_per_bin)[:, None]
+            xs = np.linspace(edges[i], edges[i + 1], _SAMPLES_PER_BIN)[:, None]
             out[i] = measure.density(xs).mean()
         return out
     if kind == "sphere_bands":
@@ -184,7 +187,7 @@ def density_table_average(measure, table: dict, samples_per_bin: int = 512) -> n
         r = measure.set.params["radius"]
         out = np.empty(len(edges) - 1)
         for i in range(len(out)):
-            zs = np.linspace(edges[i], edges[i + 1], samples_per_bin)
+            zs = np.linspace(edges[i], edges[i + 1], _SAMPLES_PER_BIN)
             phis = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
             Z, PH = np.meshgrid(zs, phis)
             rho_xy = np.sqrt(np.clip(r * r - Z**2, 0.0, None))
@@ -315,20 +318,19 @@ def build_report(
     fld,
     s: float,
     measure,
-    mesh=None,
     sublevel_h: float | None = None,
-    test_set=None,
 ) -> DiagnosticsReport:
-    """Assemble the full quality report for a configuration.
+    """Assemble the quality report of a configuration.
 
-    The covering radius is restricted to the sublevel set
-    {q <= L1 - h}, h defaulting to 5% of the field's range below L1
-    (minimizers only fill that region asymptotically); pass
-    sublevel_h=0 to disable filtering in effect.
+    Separation, covering radius and mesh ratio on the set's default
+    mesh (CompactSet.mesh()), E/tau, S(q, A), the weak* errors of the
+    coordinates and their squares, and the containment margin.  The
+    covering radius is taken over the sublevel set {q <= L1 - h}, h
+    defaulting to 5% of L1 minus the smallest finite q on the mesh
+    (minimizers only fill that region asymptotically); sublevel_h <= 0
+    covers the whole mesh.
     """
-    cset = config.cset
-    if mesh is None:
-        mesh = cset.mesh()
+    mesh = config.cset.mesh()
     qmesh = np.asarray(fld.evaluate(mesh[0]), dtype=float)
     qmin = float(qmesh[np.isfinite(qmesh)].min())
     if sublevel_h is None:
@@ -343,6 +345,6 @@ def build_report(
         mesh_ratio=cov.value / sep,
         energy_ratio=energy_ratio(config, fld, s),
         s_predicted=measure.s_value,
-        weak_star_errors=weak_star_error(config, measure, test_set),
+        weak_star_errors=weak_star_error(config, measure),
         containment_margin=containment_check(config, fld, measure.l1),
     )

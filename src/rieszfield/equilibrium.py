@@ -38,6 +38,10 @@ __all__ = [
 
 _GL3_X, _GL3_W = np.polynomial.legendre.leggauss(3)
 
+# refinement rounds of the adaptive rule, and its child-node budget
+_MAX_ROUNDS = 48
+_NODE_BUDGET = 500_000
+
 
 class EquilibriumError(RuntimeError):
     """Raised when the mass equation cannot be solved on the given inputs."""
@@ -47,15 +51,21 @@ class EquilibriumError(RuntimeError):
 # adaptive cell machinery
 
 
-def _gpow(x: np.ndarray, e: float) -> np.ndarray:
-    """x**e for x >= 0 with fast paths for the exponents d/s in use."""
+def _level_density(q, L, M, e):
+    """The limiting density ((L - q)/M)_+^e at field values q, 0 where q
+    is not finite; e = d/s.  Works in one buffer: the bisection calls it
+    on every child node of the rule, 80 times per round."""
+    g = np.subtract(L, q)
+    g /= M
+    np.maximum(g, 0.0, out=g)
+    g[~np.isfinite(q)] = 0.0
     if e == 1.0:
-        return x
+        return g
     if e == 0.5:
-        return np.sqrt(x)
+        return np.sqrt(g, out=g)
     if e == 0.25:
-        return np.sqrt(np.sqrt(x))
-    return x ** e
+        return np.sqrt(np.sqrt(g, out=g), out=g)
+    return np.power(g, e, out=g)
 
 
 def _axis_nodes(b):
@@ -151,14 +161,14 @@ class _Cells:
         self.n_eval += len(P)
         return np.asarray(self.evalfn(self.cset.chart(P)), dtype=float)
 
-    def _choose_axis(self, q):
+    def _choose_axis(self, q, bounds):
         if self.dim == 1:
             return np.zeros(len(q), dtype=int)
         grid = np.where(np.isfinite(q), q, np.nan).reshape(-1, 3, 3)
         with np.errstate(invalid="ignore"):
             v0 = np.nansum(np.abs(np.diff(grid, axis=1)), axis=(1, 2))
             v1 = np.nansum(np.abs(np.diff(grid, axis=2)), axis=(1, 2))
-        widths = self.bounds_new[:, :, 1] - self.bounds_new[:, :, 0]
+        widths = bounds[:, :, 1] - bounds[:, :, 0]
         ax = np.where(v0 > v1, 0, 1)
         tie = ~(v0 > v1) & ~(v1 > v0)  # equal or both nan: split the wider axis
         ax[tie] = np.argmax(widths[tie], axis=1)
@@ -167,8 +177,7 @@ class _Cells:
     def _expand(self, bounds, w, q):
         # given parent-level data for a batch of cells, evaluate their
         # vertices and the nodes of their two halves, then append
-        self.bounds_new = bounds
-        ax = self._choose_axis(q)
+        ax = self._choose_axis(q, bounds)
         halves = _split(bounds, ax)
         cb = halves.reshape(-1, self.dim, 2)
         cP, cw = _tensor(cb)
@@ -212,7 +221,7 @@ class _Cells:
         return self.cq.size
 
 
-def _bisect_l1(qv, wv, s, d, M, total_measure, iters=80):
+def _bisect_l1(qv, wv, s, d, M, total_measure):
     """Solve mass(L) = 1 on the rule (qv, wv) by bracketed bisection."""
     finite = np.isfinite(qv)
     if not finite.any():
@@ -224,7 +233,7 @@ def _bisect_l1(qv, wv, s, d, M, total_measure, iters=80):
     hi = float(qf.max()) + M * max(total_measure, 1e-300) ** (-s / d) + 1.0
 
     def mass(L):
-        return float(np.dot(wf, _gpow(np.clip((L - qf) / M, 0.0, None), e)))
+        return float(np.dot(wf, _level_density(qf, L, M, e)))
 
     grown = 0
     while mass(hi) < 1.0:
@@ -232,7 +241,7 @@ def _bisect_l1(qv, wv, s, d, M, total_measure, iters=80):
         if grown > 60:
             raise EquilibriumError("mass function cannot bracket 1; inconsistent inputs")
         hi = lo + 2.0 * (hi - lo)
-    for _ in range(iters):
+    for _ in range(80):  # the bracket shrinks to 2^-80 of its width
         mid = 0.5 * (lo + hi)
         if mass(mid) < 1.0:
             lo = mid
@@ -241,19 +250,18 @@ def _bisect_l1(qv, wv, s, d, M, total_measure, iters=80):
     return 0.5 * (lo + hi)
 
 
-def _adaptive_solve(cset, qfn, s, d, M, breaks=None, tol=1e-9, n0=None,
-                    max_rounds=48, budget=500_000):
+def _adaptive_solve(cset, qfn, s, d, M, breaks, tol, n0, budget):
     cells = _Cells(cset, qfn, breaks=breaks, n0=n0)
     e = d / s
     L = None
     L_prev = None
     info = {}
-    for rnd in range(max_rounds):
+    for rnd in range(_MAX_ROUNDS):
         L = _bisect_l1(cells.cq.ravel(), cells.cw.ravel(), s, d, M, cset.total_measure)
         nc = cells.n_cells
 
-        gq = _gpow(np.clip(np.where(np.isfinite(cells.q), (L - cells.q) / M, 0.0), 0.0, None), e)
-        gc = _gpow(np.clip(np.where(np.isfinite(cells.cq), (L - cells.cq) / M, 0.0), 0.0, None), e)
+        gq = _level_density(cells.q, L, M, e)
+        gc = _level_density(cells.cq, L, M, e)
         ests = np.abs(
             np.einsum("ck,ck->c", cells.w, gq) - np.einsum("ck,ck->c", cells.cw, gc)
         )
@@ -266,7 +274,7 @@ def _adaptive_solve(cset, qfn, s, d, M, breaks=None, tol=1e-9, n0=None,
         fin = np.isfinite(allq)
         qmin = np.where(fin, allq, np.inf).min(axis=1)
         qmax = np.where(fin, allq, -np.inf).max(axis=1)
-        hidden = np.abs(cells.cw).sum(axis=1) * _gpow(np.clip((L - qmin) / M, 0.0, None), e)
+        hidden = np.abs(cells.cw).sum(axis=1) * _level_density(qmin, L, M, e)
         straddle = (qmin < L) & (L < qmax) & (hidden > 0.25 * tol / nc)
 
         stable = L_prev is not None and abs(L - L_prev) <= 1e-13 * max(1.0, abs(L))
@@ -286,7 +294,7 @@ def _adaptive_solve(cset, qfn, s, d, M, breaks=None, tol=1e-9, n0=None,
         cells.refine(mask)
     else:
         L = _bisect_l1(cells.cq.ravel(), cells.cw.ravel(), s, d, M, cset.total_measure)
-        info["rounds"] = max_rounds
+        info["rounds"] = _MAX_ROUNDS
     return L, cells, info
 
 
@@ -303,29 +311,24 @@ class EquilibriumMeasure:
     integrals against the measure and for table export.
     """
 
-    def __init__(self, cset, field, s, c_sd, l1, rule_w, rule_q, rule_P, info):
+    def __init__(self, cset, field, s, m_sd, l1, rule_w, rule_q, rule_P, info):
         self.set = cset
         self.field = field
         self.s = float(s)
         self.d = int(cset.hausdorff_dim)
-        self.c_sd = c_sd
-        self.m_sd = m_constant(s, self.d, c_sd)
+        self.m_sd = m_sd
         self.l1 = float(l1)
         self._w = rule_w
         self._q = rule_q
-        self._P = rule_P
         self._X = cset.chart(rule_P)
-        self._g = self._clip_power(rule_q)
+        self._g = _level_density(rule_q, self.l1, self.m_sd, self.d / self.s)
         self.solver_info = info
-
-    def _clip_power(self, q):
-        vals = np.where(np.isfinite(q), q, np.inf)
-        return _gpow(np.clip((self.l1 - vals) / self.m_sd, 0.0, None), self.d / self.s)
 
     def density(self, points: np.ndarray) -> np.ndarray:
         """dmu/dH_d at ambient points on the set."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return self._clip_power(np.asarray(self.field.evaluate(pts), dtype=float))
+        q = np.asarray(self.field.evaluate(pts), dtype=float)
+        return _level_density(q, self.l1, self.m_sd, self.d / self.s)
 
     def support_indicator(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -351,13 +354,6 @@ class EquilibriumMeasure:
         vals = np.where(self._g > 0, (self.l1 + ratio * np.where(np.isfinite(self._q), self._q, 0.0)) / (1.0 + ratio), 0.0)
         return float(np.dot(self._w * self._g, vals))
 
-    def summary(self) -> dict:
-        return {
-            "l1": self.l1,
-            "s_value": self.s_value,
-            "support_fraction": self.support_fraction,
-        }
-
     def to_csv(self, path) -> None:
         """Density table: node coordinates, weight, q, density."""
         p = self._X.shape[1]
@@ -378,14 +374,16 @@ def solve_equilibrium(
     c_sd: RieszConstant | None = None,
     tol: float = 1e-9,
     n0=None,
-    budget: int = 500_000,
+    budget: int = _NODE_BUDGET,
 ) -> EquilibriumMeasure:
     """Solve the mass equation for L1 and return the full measure.
 
     ``field`` needs an ``evaluate`` map over ambient points; an optional
     ``breaks`` attribute ({axis: parameter values}) pins known kinks of
     q to quadrature cell edges.  ``tol`` bounds the rule's own error
-    estimate for the total mass integral.
+    estimate for the total mass integral; refinement also stops once
+    the rule has ``budget`` child nodes.  ``n0`` sets the initial cells
+    per axis (32 on curves, 24 x 24 on surfaces by default).
     """
     d = cset.hausdorff_dim
     s = float(s)
@@ -398,11 +396,10 @@ def solve_equilibrium(
     if not np.isfinite(node_q).any():
         raise EquilibriumError("field is infinite at every quadrature node")
     L, cells, info = _adaptive_solve(
-        cset, field.evaluate, s, d, M,
-        breaks=getattr(field, "breaks", None), tol=tol, n0=n0, budget=budget,
+        cset, field.evaluate, s, d, M, getattr(field, "breaks", None), tol, n0, budget
     )
     return EquilibriumMeasure(
-        cset, field, s, c_sd, L,
+        cset, field, s, M, L,
         cells.cw.ravel(), cells.cq.ravel(),
         cells.cP.reshape(-1, cells.dim), info,
     )
@@ -413,9 +410,6 @@ def integrate_adaptive(
     fn: Callable[[np.ndarray], np.ndarray],
     breaks=None,
     tol: float = 1e-11,
-    n0=None,
-    max_rounds: int = 48,
-    budget: int = 500_000,
 ) -> float:
     """Adaptive integral of fn over the set, refined by split-compare.
 
@@ -424,15 +418,15 @@ def integrate_adaptive(
     as ``breaks``; there is no free support detection here because no
     level-set structure is available for a generic integrand.
     """
-    cells = _Cells(cset, fn, breaks=breaks, n0=n0)
-    for _ in range(max_rounds):
+    cells = _Cells(cset, fn, breaks=breaks)
+    for _ in range(_MAX_ROUNDS):
         fp = np.where(np.isfinite(cells.q), cells.q, 0.0)
         fc = np.where(np.isfinite(cells.cq), cells.cq, 0.0)
         ests = np.abs(
             np.einsum("ck,ck->c", cells.w, fp) - np.einsum("ck,ck->c", cells.cw, fc)
         )
         total = float(ests.sum())
-        if total < tol or cells.n_child_nodes >= budget:
+        if total < tol or cells.n_child_nodes >= _NODE_BUDGET:
             break
         cut = max(0.25 * total / cells.n_cells, 0.25 * tol / cells.n_cells)
         mask = ests > cut

@@ -206,7 +206,6 @@ class FieldDesign:
     target_density: DensityMap
     m_constant: float
     q: ExternalField
-    s: float
     d: int
     renormalized: bool = False
 
@@ -254,7 +253,7 @@ def design_field(cset: CompactSet, rho, s: float, c_sd=None) -> FieldDesign:
         return -M * np.asarray(_f(X), dtype=float) ** ratio
 
     q = ExternalField(q_eval, None, label=f"designed({rho.label or 'rho'})", breaks=rho.breaks)
-    return FieldDesign(rho_n, M, q, s, d, renorm)
+    return FieldDesign(rho_n, M, q, d, renorm)
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +268,9 @@ class PerturbedDensity:
     bound: Callable[[np.ndarray], np.ndarray]
     base_density: Callable[[np.ndarray], np.ndarray]
     l1: float
-    delta: float
-    m_constant: float
 
 
-def perturbed_density(cset: CompactSet, rho, s: float, delta: float, c_sd=None) -> PerturbedDensity:
+def perturbed_density(cset: CompactSet, rho, s: float, delta: float) -> PerturbedDensity:
     """Re-solve the designed problem for rho with a misjudged constant.
 
     Models designing the field with M' = M + delta instead of the true
@@ -287,7 +284,7 @@ def perturbed_density(cset: CompactSet, rho, s: float, delta: float, c_sd=None) 
     M / (1 + (max rho / min rho)^(s/d)), which keeps the perturbed
     density supported on all of the set.
     """
-    design = design_field(cset, rho, s, c_sd=c_sd)
+    design = design_field(cset, rho, s)
     d, M, ratio = design.d, design.m_constant, s / cset.hausdorff_dim
     vals = np.asarray(design.target_density.evaluate(cset.nodes), dtype=float)
     rho_min = float(vals.min())
@@ -308,7 +305,7 @@ def perturbed_density(cset: CompactSet, rho, s: float, delta: float, c_sd=None) 
         label=f"{q0.label}*(1{delta / M:+g})",
         breaks=q0.breaks,
     )
-    mu = solve_equilibrium(cset, q_pert, s, c_sd=c_sd)
+    mu = solve_equilibrium(cset, q_pert, s)
 
     def bound(X, _f=design.target_density.evaluate):
         r = np.asarray(_f(np.atleast_2d(X)), dtype=float)
@@ -320,8 +317,6 @@ def perturbed_density(cset: CompactSet, rho, s: float, delta: float, c_sd=None) 
         bound=bound,
         base_density=design.target_density.evaluate,
         l1=mu.l1,
-        delta=delta,
-        m_constant=M,
     )
 
 

@@ -25,10 +25,10 @@ __all__ = [
     "covering_mesh",
     "register_param_set",
     "set_from_descriptor",
-    "DEFAULT_MESH_BUDGET",
 ]
 
-DEFAULT_MESH_BUDGET = 10_000_000
+# most points a covering mesh may have (240 MB of float64 in R^3)
+_MESH_BUDGET = 10_000_000
 
 # registry of named user charts for JSON round trips of "param" sets
 _PARAM_REGISTRY: dict[str, Callable[..., "CompactSet"]] = {}
@@ -386,12 +386,13 @@ def set_from_descriptor(desc: dict) -> CompactSet:
     raise ValueError(f"unknown set kind {kind!r}")
 
 
-def covering_mesh(cset: CompactSet, fill_distance: float, budget: int = DEFAULT_MESH_BUDGET) -> np.ndarray:
-    """Points on A leaving no parametrization-grid point farther than
-    ``fill_distance`` from the mesh.
+def covering_mesh(cset: CompactSet, fill_distance: float) -> np.ndarray:
+    """Points on A leaving no point of A farther than ``fill_distance``
+    (on user charts only as far as a probed chart stretch tells).
 
     The mesh is what covering-radius diagnostics max over; its fill
-    distance is the resolution error bar attached to those numbers.
+    distance is the resolution error bar attached to those numbers.  A
+    mesh of more than 10^7 points raises ValueError before it is built.
     """
     h = float(fill_distance)
     if not 0 < h < cset.diameter:
@@ -399,12 +400,12 @@ def covering_mesh(cset: CompactSet, fill_distance: float, budget: int = DEFAULT_
     if cset.kind == "interval":
         (a, b), = cset.param_bounds
         n = int(math.ceil((b - a) / h)) + 1
-        _check_budget(n, budget)
+        _check_budget(n, h)
         return np.linspace(a, b, n)[:, None]
     if cset.kind == "sphere":
         radius = cset.params["radius"]
         n_rings = max(2, int(math.ceil(np.pi * radius / h)) + 1)
-        _check_budget(4.0 * np.pi * radius * radius / (h * h), budget)
+        _check_budget(4.0 * np.pi * radius * radius / (h * h), h)
         pts = [np.array([0.0, 0.0, radius]), np.array([0.0, 0.0, -radius])]
         thetas = np.linspace(0.0, np.pi, n_rings + 1)[1:-1]
         for th in thetas:
@@ -423,7 +424,7 @@ def covering_mesh(cset: CompactSet, fill_distance: float, budget: int = DEFAULT_
         tube_c = 0.5 * (cset.params["r_outer"] - cset.params["r_inner"])
         n_u = max(4, int(math.ceil(2.0 * np.pi * (big_r + tube_c) / h)))
         n_v = max(4, int(math.ceil(2.0 * np.pi * tube_c / h)))
-        _check_budget(float(n_u) * n_v, budget)
+        _check_budget(float(n_u) * n_v, h)
         u = np.arange(n_u) * (2.0 * np.pi / n_u)
         v = np.arange(n_v) * (2.0 * np.pi / n_v)
         U, V = np.meshgrid(u, v, indexing="ij")
@@ -444,16 +445,16 @@ def covering_mesh(cset: CompactSet, fill_distance: float, budget: int = DEFAULT_
     total = 1.0
     for c in counts:
         total *= c
-    _check_budget(total, budget)
+    _check_budget(total, h)
     axes = [np.linspace(lo, hi, c) for (lo, hi), c in zip(bounds, counts)]
     grids = np.meshgrid(*axes, indexing="ij")
     P = np.stack([g.ravel() for g in grids], axis=1)
     return cset.chart(P)
 
 
-def _check_budget(n: float, budget: int) -> None:
-    if n > budget:
+def _check_budget(n: float, fill_distance: float) -> None:
+    if n > _MESH_BUDGET:
         raise ValueError(
-            f"covering mesh would need about {int(n)} nodes, over the budget of {budget}; "
-            "raise the budget or the fill distance"
+            f"covering mesh at fill distance {fill_distance:g} would need about {int(n)} "
+            f"nodes, over the budget of {_MESH_BUDGET}; raise the fill distance"
         )

@@ -61,12 +61,9 @@ class Configuration:
 
     points: np.ndarray
     cset: CompactSet
-    set_ref: str = ""
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if not self.set_ref:
-            self.set_ref = self.cset.kind
 
     @property
     def n(self) -> int:
@@ -79,9 +76,6 @@ class Configuration:
 @dataclass
 class OptimizerSettings:
     max_iters: int = 5000
-    step_init: float | None = None  # None: diameter * N^(-1-s/d)
-    armijo_c: float = 1e-4
-    armijo_shrink: float = 0.5
     grad_tol: float = 1e-6
     restarts: int = 3
     rng_seed: int = 0
@@ -90,15 +84,13 @@ class OptimizerSettings:
     def __post_init__(self):
         if self.max_iters <= 0 or self.restarts <= 0 or self.grad_tol <= 0:
             raise ValueError("max_iters, restarts, grad_tol must be positive")
-        if self.step_init is not None and self.step_init <= 0:
-            raise ValueError("step_init must be positive")
-        if not 0.0 < self.armijo_c <= 0.5:
-            raise ValueError("armijo_c must lie in (0, 0.5]")
-        if not 0.1 < self.armijo_shrink < 0.9:
-            raise ValueError("armijo_shrink must lie in (0.1, 0.9)")
         if self.init not in ("weighted", "density", "stratified"):
             raise ValueError(f"unknown init mode {self.init!r}")
 
+
+# Armijo sufficient-decrease constant and backtracking factor
+_ARMIJO_C = 1e-4
+_ARMIJO_SHRINK = 0.5
 
 # Entries per block of squared distances: 2^17 doubles = 1 MiB, so each
 # block array stays inside one core's L2 cache.
@@ -215,7 +207,6 @@ class MinimizeResult:
     converged: bool
     restart_index: int
     grad_norm: float
-    seed: int
 
 
 def _trial_energy(cset, fld, s, X):
@@ -227,13 +218,13 @@ def _trial_energy(cset, fld, s, X):
         return np.inf
 
 
-def _descend(cset, fld, s, X, settings, step_init, gtol):
+def _descend(cset, fld, s, X, max_iters, step_init, gtol):
     E = energy(Configuration(X, cset), fld, s)
     step = step_init
     rows = []
     converged = False
     gn = np.inf
-    for it in range(settings.max_iters):
+    for it in range(max_iters):
         G = energy_gradient(Configuration(X, cset), fld, s)
         gn = float(np.linalg.norm(G))
         rows.append((it, E, gn, step))
@@ -251,12 +242,12 @@ def _descend(cset, fld, s, X, settings, step_init, gtol):
                 converged = True  # retraction absorbs the whole step
                 break
             E1 = _trial_energy(cset, fld, s, X1)
-            if np.isfinite(E1) and E - E1 >= settings.armijo_c * dn2 / step:
+            if np.isfinite(E1) and E - E1 >= _ARMIJO_C * dn2 / step:
                 X, E = X1, E1
                 step = min(step * 2.0, 1e6 * step_init)
                 accepted = True
                 break
-            step *= settings.armijo_shrink
+            step *= _ARMIJO_SHRINK
         if not accepted:
             break  # stationary under projection, or line search exhausted
     return X, E, np.asarray(rows, dtype=float), converged, gn
@@ -275,16 +266,20 @@ def minimize(
     Initial points are quadrature nodes drawn with probability
     proportional to weight (or weight times equilibrium density for the
     density/stratified modes, which need ``measure``).  Each restart
-    runs Armijo projected descent until the tangential gradient norm
-    drops below grad_tol * N^(1+s/d) / diameter^(s+1).
+    runs Armijo projected descent from the step diameter * N^(-1-s/d):
+    a trial step is halved until the energy falls by 1e-4 * |dx|^2 / step
+    and doubled after each accepted one.  A restart stops when the
+    tangential gradient norm drops below grad_tol * N^(1+s/d) /
+    diameter^(s+1), when the retraction absorbs the whole step, when 60
+    trials find no decrease, or after max_iters iterations.  The restart
+    with the lowest finite energy is returned; OptimizerFailure is
+    raised when none has one.
     """
     if N < 2:
         raise ValueError("minimization needs at least two points")
     settings = settings or OptimizerSettings()
     d = cset.hausdorff_dim
-    step_init = settings.step_init
-    if step_init is None:
-        step_init = cset.diameter * float(N) ** (-1.0 - s / d)
+    step_init = cset.diameter * float(N) ** (-1.0 - s / d)
     gtol = settings.grad_tol * float(N) ** (1.0 + s / d) * cset.diameter ** (-s - 1.0)
 
     best = None
@@ -299,7 +294,7 @@ def minimize(
         else:
             traces.append(np.zeros((0, 4)))
             continue
-        X, E, trace, converged, gn = _descend(cset, fld, s, X, settings, step_init, gtol)
+        X, E, trace, converged, gn = _descend(cset, fld, s, X, settings.max_iters, step_init, gtol)
         traces.append(trace)
         if np.isfinite(E) and (best is None or E < best.energy):
             best = MinimizeResult(
@@ -309,7 +304,6 @@ def minimize(
                 converged=converged,
                 restart_index=r,
                 grad_norm=gn,
-                seed=settings.rng_seed,
             )
     if best is None:
         raise OptimizerFailure("all restarts failed to produce finite energy", traces)

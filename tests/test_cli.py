@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -31,7 +32,6 @@ def _tiny_config(tmp_path, **overrides):
         "n": 20,
         "seed": 0,
         "settings": {"max_iters": 60, "restarts": 1},
-        "mode": "fast",
     }
     cfg.update(overrides)
     return _write_json(tmp_path / "run.json", cfg)
@@ -74,7 +74,6 @@ def test_solve_end_to_end(tmp_path, capsys, validate_report_schema):
     validate_report_schema(report)
     assert report["l1"] == pytest.approx(5.957351854617, abs=1e-3)
     assert report["n_points"] == 20
-    assert report["mode"] == "fast"
     assert report["comparison"] is None
     assert sorted(report["files"]) == sorted(RUN_FILES)
     timings = report["timings"]
@@ -88,7 +87,7 @@ def test_solve_end_to_end(tmp_path, capsys, validate_report_schema):
 
 
 def test_solve_byte_determinism(tmp_path):
-    cfg = _tiny_config(tmp_path, mode="reproducible")
+    cfg = _tiny_config(tmp_path)
     a, b = tmp_path / "a", tmp_path / "b"
     assert cli.main(["solve", cfg, "--out", str(a)]) == 0
     assert cli.main(["solve", cfg, "--out", str(b)]) == 0
@@ -143,10 +142,39 @@ def test_solve_bad_settings(tmp_path, capsys):
     assert "bad optimizer settings" in capsys.readouterr().err
 
 
-def test_solve_bad_mode(tmp_path, capsys):
-    cfg = _tiny_config(tmp_path, mode="turbo")
-    assert cli.main(["solve", cfg]) == 2
-    assert "mode must be" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"n": 20.7}, "n"),
+        ({"settings": {"max_iters": 10.5, "restarts": 1}}, "max_iters"),
+        ({"settings": {"max_iters": 60, "restarts": 1.5}}, "restarts"),
+    ],
+)
+def test_solve_rejects_fractional_count(tmp_path, capsys, monkeypatch, overrides, key):
+    def no_solve(*a, **kw):
+        raise AssertionError("the solve started before validation")
+
+    monkeypatch.setattr(cli, "solve_equilibrium", no_solve)
+    cfg = _tiny_config(tmp_path, **overrides)
+    assert cli.main(["solve", cfg, "--out", str(tmp_path / "run")]) == 2
+    assert f"{key} must be a whole number" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_solve_small_n_exports_measure_table(tmp_path, validate_report_schema):
+    # below 16 points there is nothing to bin: density.csv is the
+    # equilibrium measure's own table
+    out = tmp_path / "run"
+    assert cli.main(["solve", _tiny_config(tmp_path, n=8), "--out", str(out)]) == 0
+    for name in RUN_FILES:
+        assert (out / name).exists(), name
+    with open(out / "density.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["x1", "weight", "q", "density"]
+    assert len(rows) > 100
+    report = json.loads((out / "report.json").read_text())
+    validate_report_schema(report)
+    assert report["n_points"] == 8
 
 
 def test_solver_failure_exit_code(tmp_path, capsys, monkeypatch):

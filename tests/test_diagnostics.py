@@ -84,11 +84,6 @@ def test_point_potential(interval01):
     one = ExternalField(lambda P: np.ones(len(np.atleast_2d(P))))
     expect = 8.0 + tau(2.0, 1, 2) / 2.0
     assert point_potential([0.5], cfg, one, 2.0) == pytest.approx(expect, rel=1e-14)
-    # scale_N swaps in the asymptotic N for the field weight
-    expect_scaled = 8.0 + tau(2.0, 1, 50) / 50.0
-    assert point_potential([0.5], cfg, one, 2.0, scale_N=50) == pytest.approx(
-        expect_scaled, rel=1e-14
-    )
 
 
 def test_containment_check(interval01):

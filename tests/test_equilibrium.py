@@ -7,6 +7,7 @@ import pytest
 from rieszfield.constants import m_constant, zeta
 from rieszfield.equilibrium import (
     EquilibriumError,
+    _level_density,
     integrate_adaptive,
     solve_equilibrium,
 )
@@ -88,6 +89,18 @@ def test_density_matches_clip_formula(measure_e, interval02):
     assert np.array_equal(inside, qe.evaluate(x) <= measure_e.l1)
 
 
+@pytest.mark.parametrize("e", [1.0, 0.5, 0.25, 2.0 / 3.0])
+def test_level_density_formula(e):
+    q = np.array([-1.0, 0.0, 0.2, 0.3, 5.0, np.inf, -np.inf, np.nan])
+    before = q.copy()
+    L, M = 0.3, 2.5
+    got = _level_density(q, L, M, e)
+    expect = np.clip((L - q[:5]) / M, 0.0, None) ** e
+    np.testing.assert_allclose(got[:5], expect, rtol=1e-15, atol=0.0)
+    assert np.array_equal(got[5:], np.zeros(3))  # non-finite q: no mass
+    assert np.array_equal(q, before, equal_nan=True)
+
+
 def test_s_value_consistency(measure_e):
     # S = (L1 + (s/d) int q dmu) / (1 + s/d)
     ratio = measure_e.s / measure_e.d
@@ -161,9 +174,3 @@ def test_csv_emission(tmp_path, measure_e):
     x, w, q, g = zip(*((float(r[0]), float(r[1]), float(r[2]), float(r[3])) for r in rows[1:]))
     assert abs(sum(wi * gi for wi, gi in zip(w, g)) - 1.0) < 1e-9
     assert min(x) >= 0.0 and max(x) <= 2.0
-
-
-def test_summary_keys(measure_a):
-    got = measure_a.summary()
-    assert set(got) == {"l1", "s_value", "support_fraction"}
-    assert 0.0 < got["support_fraction"] < 1.0

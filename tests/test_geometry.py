@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,6 +169,18 @@ def test_mesh_cache_and_fill(interval02):
     probes = np.linspace(0.0, 2.0, 613)[:, None]
     d = np.abs(probes - pts[:, 0][None, :]).min(axis=1)
     assert d.max() <= fill + 1e-15
+
+
+def test_covering_mesh_budget_guard(sphere):
+    # 1e-5 on the unit sphere would be ~1e11 mesh points: refused up front
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"fill distance 1e-05"):
+            sphere.mesh(1e-5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_covering_mesh_fill_guarantee(sphere, rng):

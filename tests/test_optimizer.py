@@ -227,13 +227,7 @@ def test_settings_validation():
     with pytest.raises(ValueError):
         OptimizerSettings(max_iters=0)
     with pytest.raises(ValueError):
-        OptimizerSettings(armijo_c=0.9)
-    with pytest.raises(ValueError):
-        OptimizerSettings(armijo_shrink=0.95)
-    with pytest.raises(ValueError):
         OptimizerSettings(init="sobol")
-    with pytest.raises(ValueError):
-        OptimizerSettings(step_init=-1.0)
 
 
 def test_minimize_failure_on_infinite_field(interval01):
