@@ -13,8 +13,8 @@ import numpy as np
 _W = 640
 _H = 640
 _PAD = 40
-# parameter grid points per axis of a surface contour (40x that on curves)
-_CONTOUR_RES = 220
+# parameter grid points per axis of a contour, by parameter dimension
+_CONTOUR_RES = {1: 8800, 2: 220}
 
 
 def _bbox(arrays):
@@ -72,29 +72,20 @@ def project_points(X: np.ndarray) -> np.ndarray:
 def support_contour(cset, measure) -> np.ndarray:
     """Ambient midpoints of parameter-grid edges where the support
     indicator flips; projected, they trace the support boundary."""
-    bounds = cset.param_bounds
-    if len(bounds) == 1:
-        (a, b) = bounds[0]
-        t = np.linspace(a, b, 40 * _CONTOUR_RES)[:, None]
-        ind = measure.support_indicator(cset.chart(t))
-        flip = np.nonzero(ind[1:] != ind[:-1])[0]
-        mids = cset.chart(0.5 * (t[flip] + t[flip + 1]))
-        return project_points(mids)
-    (a0, b0), (a1, b1) = bounds
-    u = np.linspace(a0, b0, _CONTOUR_RES)
-    v = np.linspace(a1, b1, _CONTOUR_RES)
-    U, V = np.meshgrid(u, v, indexing="ij")
-    P = np.column_stack([U.ravel(), V.ravel()])
-    ind = measure.support_indicator(cset.chart(P)).reshape(_CONTOUR_RES, _CONTOUR_RES)
+    dim = len(cset.param_bounds)
+    res = _CONTOUR_RES[dim]
+    grids = [np.linspace(a, b, res) for a, b in cset.param_bounds]
+    P = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, dim)
+    ind = measure.support_indicator(cset.chart(P)).reshape((res,) * dim)
     segs = []
-    fu = np.nonzero(ind[1:, :] != ind[:-1, :])
-    if len(fu[0]):
-        mid = np.column_stack([0.5 * (u[fu[0]] + u[fu[0] + 1]), v[fu[1]]])
-        segs.append(mid)
-    fv = np.nonzero(ind[:, 1:] != ind[:, :-1])
-    if len(fv[0]):
-        mid = np.column_stack([u[fv[0]], 0.5 * (v[fv[1]] + v[fv[1] + 1])])
-        segs.append(mid)
+    for ax in range(dim):
+        lo = (slice(None),) * ax + (slice(None, -1),)
+        hi = (slice(None),) * ax + (slice(1, None),)
+        flip = np.nonzero(ind[lo] != ind[hi])
+        if len(flip[0]):
+            cols = [g[i] for g, i in zip(grids, flip)]
+            cols[ax] = 0.5 * (grids[ax][flip[ax]] + grids[ax][flip[ax] + 1])
+            segs.append(np.column_stack(cols))
     if not segs:
         return np.zeros((0, 2))
     return project_points(cset.chart(np.concatenate(segs, axis=0)))

@@ -135,15 +135,27 @@ def _build_problem(set_desc, field_desc, s, n, override=None):
 
 def _settings_from(cfg_settings: dict, seed=None) -> OptimizerSettings:
     opts = dict(cfg_settings or {})
-    for key in ("max_iters", "restarts", "rng_seed"):
-        if key in opts:
-            opts[key] = _whole(opts[key], key)
     if seed is not None:
         opts["rng_seed"] = _whole(seed, "seed")
     try:
         return OptimizerSettings(**opts)
     except (TypeError, ValueError) as e:
         raise CliError(EXIT_CONFIG, f"bad optimizer settings: {e}") from e
+
+
+def _solve_measure(cset, fld, s, const):
+    """The equilibrium measure; warns on stderr when the solve stopped
+    before its error estimate met the tolerance."""
+    measure = solve_equilibrium(cset, fld, s, c_sd=const)
+    info = measure.solver_info
+    if info["stop_reason"] != "tol":
+        print(
+            f"warning: equilibrium solve stopped on {info['stop_reason']} before meeting "
+            f"its tolerance: error estimate {info['error_estimate']:.3g} on "
+            f"{info['nodes']} nodes after {info['rounds']} rounds",
+            file=sys.stderr,
+        )
+    return measure
 
 
 def _write_run(out_dir: Path, result, measure, cset, fld, report_dict):
@@ -181,7 +193,7 @@ def _run(cset, fld, s, n, const, settings, out_dir, label, entry=None):
     windows the run is compared against.
     """
     t0 = time.perf_counter()
-    measure = solve_equilibrium(cset, fld, s, c_sd=const)
+    measure = _solve_measure(cset, fld, s, const)
     t_equilibrium = time.perf_counter()
     result = minimize(cset, fld, s, n, settings, measure=measure)
     t_minimize = time.perf_counter()
@@ -338,7 +350,7 @@ def cmd_design(args) -> int:
     except ValueError as e:
         raise CliError(EXIT_CONFIG, str(e)) from e
 
-    measure = solve_equilibrium(cset, design.q, s, c_sd=const)
+    measure = _solve_measure(cset, design.q, s, const)
     target = np.asarray(design.target_density.evaluate(cset.nodes), dtype=float)
     got = measure.density(cset.nodes)
     live = target > 1e-8

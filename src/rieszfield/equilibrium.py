@@ -9,19 +9,28 @@ clipped power law has kinks along the support boundary, external fields
 can have poles, and the fixed product rules of the geometry module are
 nowhere near the accuracy the printed constants demand.
 
-Cells are refined on a split-compare error estimate (cell integral vs
-the sum over its two halves).  Two failure modes of that estimate are
-handled explicitly: support boundaries that slip between quadrature
-nodes of both levels (caught by evaluating q at cell vertices and
-force-refining straddling cells) and known interior kinks of q (the
-caller passes their parameter-space locations as ``breaks`` so they sit
-on cell edges from the start).
+Cells are tensor products of GL3 rules in any parameter dimension and
+are refined on a split-compare error estimate (cell integral vs the sum
+over its two halves).  One loop, ``_refine``, does the estimating,
+cutting and splitting for both ``solve_equilibrium`` and
+``integrate_adaptive``; each round the caller maps the cells to
+integrand values, cells to split regardless of their estimate, and
+whether its own result has settled.  The loop stops for one of three
+reasons, reported as ``stop_reason``: ``tol`` (estimate below the
+tolerance, result settled, nothing forced), ``budget`` (the rule holds
+the node budget) or ``max_rounds``.
+
+Two failure modes of the estimate are handled explicitly: support
+boundaries that slip between quadrature nodes of both levels (caught by
+evaluating q at cell vertices and force-refining straddling cells) and
+known interior kinks of q (the caller passes their parameter-space
+locations as ``breaks`` so they sit on cell edges from the start).
 """
 
 from __future__ import annotations
 
 import csv
-import math
+import itertools
 from typing import Callable
 
 import numpy as np
@@ -41,6 +50,8 @@ _GL3_X, _GL3_W = np.polynomial.legendre.leggauss(3)
 # refinement rounds of the adaptive rule, and its child-node budget
 _MAX_ROUNDS = 48
 _NODE_BUDGET = 500_000
+# initial cells per axis, by parameter dimension
+_CELLS_PER_AXIS = {1: 32, 2: 24}
 
 
 class EquilibriumError(RuntimeError):
@@ -68,53 +79,33 @@ def _level_density(q, L, M, e):
     return np.power(g, e, out=g)
 
 
-def _axis_nodes(b):
-    # b: (m, 2) axis intervals -> GL3 nodes (m, 3) and weights (m, 3)
-    mid = 0.5 * (b[:, 0] + b[:, 1])
-    half = 0.5 * (b[:, 1] - b[:, 0])
-    return mid[:, None] + half[:, None] * _GL3_X, half[:, None] * _GL3_W
+def _product_index(*sizes):
+    # (prod(sizes), len(sizes)) table of every index tuple, last axis fastest
+    return np.array(list(itertools.product(*map(range, sizes))))
 
 
 def _tensor(bounds):
     # bounds: (m, dim, 2) -> nodes (m, k, dim), weights (m, k), k = 3^dim
-    dim = bounds.shape[1]
-    if dim == 1:
-        x, w = _axis_nodes(bounds[:, 0])
-        return x[:, :, None], w
-    x0, w0 = _axis_nodes(bounds[:, 0])
-    x1, w1 = _axis_nodes(bounds[:, 1])
-    p0 = np.repeat(x0, 3, axis=1)
-    p1 = np.tile(x1, (1, 3))
-    return np.stack([p0, p1], axis=2), np.repeat(w0, 3, axis=1) * np.tile(w1, (1, 3))
+    idx = _product_index(*(3,) * bounds.shape[1])
+    mid = 0.5 * (bounds[:, None, :, 0] + bounds[:, None, :, 1])
+    half = 0.5 * (bounds[:, None, :, 1] - bounds[:, None, :, 0])
+    return mid + half * _GL3_X[idx], np.prod(half * _GL3_W[idx], axis=2)
 
 
 def _vertices(bounds):
+    # bounds: (m, dim, 2) -> cell corners (m, 2^dim, dim)
     dim = bounds.shape[1]
-    if dim == 1:
-        return bounds[:, 0, :, None]  # (m, 2, 1)
-    a, b = bounds[:, 0, 0], bounds[:, 0, 1]
-    c, d = bounds[:, 1, 0], bounds[:, 1, 1]
-    return np.stack(
-        [
-            np.stack([a, c], 1),
-            np.stack([a, d], 1),
-            np.stack([b, c], 1),
-            np.stack([b, d], 1),
-        ],
-        axis=1,
-    )
+    return bounds[:, np.arange(dim), _product_index(*(2,) * dim)]
 
 
 def _split(bounds, ax):
     # halve each cell along its axis: returns (m, 2, dim, 2)
-    m = len(bounds)
-    rows = np.arange(m)
+    rows = np.arange(len(bounds))
     mid = 0.5 * (bounds[rows, ax, 0] + bounds[rows, ax, 1])
-    lo = bounds.copy()
-    hi = bounds.copy()
-    lo[rows, ax, 1] = mid
-    hi[rows, ax, 0] = mid
-    return np.stack([lo, hi], axis=1)
+    halves = np.stack([bounds, bounds], axis=1)
+    halves[rows, 0, ax, 1] = mid
+    halves[rows, 1, ax, 0] = mid
+    return halves
 
 
 class _Cells:
@@ -134,7 +125,7 @@ class _Cells:
         self.k = 3 ** self.dim
         self.n_eval = 0
         edges = []
-        n0 = n0 or ((32,) if self.dim == 1 else (24, 24))
+        n0 = n0 or _CELLS_PER_AXIS[self.dim]
         if not np.iterable(n0):
             n0 = (n0,) * self.dim
         for axis, ((lo, hi), n_ax) in enumerate(zip(cset.param_bounds, n0)):
@@ -142,83 +133,52 @@ class _Cells:
             for brk in (breaks or {}).get(axis, ()):  # pin known kinks to cell edges
                 if lo < brk < hi and np.abs(e - brk).min() > 1e-9 * (hi - lo):
                     e = np.sort(np.append(e, brk))
-            edges.append(e)
-        if self.dim == 1:
-            bounds = np.stack([edges[0][:-1], edges[0][1:]], axis=1)[:, None, :]
-        else:
-            b0 = np.stack([edges[0][:-1], edges[0][1:]], axis=1)
-            b1 = np.stack([edges[1][:-1], edges[1][1:]], axis=1)
-            bounds = np.empty((len(b0) * len(b1), 2, 2))
-            bounds[:, 0, :] = np.repeat(b0, len(b1), axis=0)
-            bounds[:, 1, :] = np.tile(b1, (len(b0), 1))
-        self.bounds = bounds
+            edges.append(np.stack([e[:-1], e[1:]], axis=1))
+        # every combination of per-axis intervals
+        idx = _product_index(*map(len, edges))
+        bounds = np.stack([e[idx[:, axis]] for axis, e in enumerate(edges)], axis=1)
         P, w = _tensor(bounds)
-        q = self._eval(P.reshape(-1, self.dim)).reshape(len(bounds), self.k)
+        q = self._eval(P.reshape(-1, self.dim)).reshape(w.shape)
         jac = cset.chart_jacobian(P.reshape(-1, self.dim)).reshape(w.shape)
-        self._expand(bounds, w * jac, q)
+        self.__dict__.update(self._expand(bounds, w * jac, q))
 
     def _eval(self, P):
         self.n_eval += len(P)
         return np.asarray(self.evalfn(self.cset.chart(P)), dtype=float)
 
     def _choose_axis(self, q, bounds):
-        if self.dim == 1:
-            return np.zeros(len(q), dtype=int)
-        grid = np.where(np.isfinite(q), q, np.nan).reshape(-1, 3, 3)
+        # split along the axis where q varies most between the GL3 nodes;
+        # a tie (or no finite variation) splits the widest axis
+        grid = np.where(np.isfinite(q), q, np.nan).reshape((-1,) + (3,) * self.dim)
+        cell_axes = tuple(range(1, 1 + self.dim))
         with np.errstate(invalid="ignore"):
-            v0 = np.nansum(np.abs(np.diff(grid, axis=1)), axis=(1, 2))
-            v1 = np.nansum(np.abs(np.diff(grid, axis=2)), axis=(1, 2))
-        widths = bounds[:, :, 1] - bounds[:, :, 0]
-        ax = np.where(v0 > v1, 0, 1)
-        tie = ~(v0 > v1) & ~(v1 > v0)  # equal or both nan: split the wider axis
-        ax[tie] = np.argmax(widths[tie], axis=1)
+            var = np.stack([np.nansum(np.abs(np.diff(grid, axis=a)), axis=cell_axes) for a in cell_axes], 1)
+        ax = np.argmax(var, axis=1)
+        tie = (var == var.max(axis=1, keepdims=True)).sum(axis=1) != 1
+        ax[tie] = np.argmax(bounds[tie, :, 1] - bounds[tie, :, 0], axis=1)
         return ax
 
     def _expand(self, bounds, w, q):
         # given parent-level data for a batch of cells, evaluate their
-        # vertices and the nodes of their two halves, then append
+        # vertices and the nodes of their two halves
+        m, k2 = len(bounds), 2 * self.k
         ax = self._choose_axis(q, bounds)
-        halves = _split(bounds, ax)
-        cb = halves.reshape(-1, self.dim, 2)
-        cP, cw = _tensor(cb)
-        m = len(bounds)
-        cP = cP.reshape(m, 2 * self.k, self.dim)
-        cw = cw.reshape(m, 2 * self.k)
-        V = _vertices(bounds)
-        flatP = np.concatenate([cP.reshape(-1, self.dim), V.reshape(-1, self.dim)])
-        vals = self._eval(flatP)
-        nc = m * 2 * self.k
-        cq = vals[:nc].reshape(m, 2 * self.k)
-        vq = vals[nc:].reshape(m, V.shape[1])
-        jac = self.cset.chart_jacobian(cP.reshape(-1, self.dim)).reshape(m, 2 * self.k)
-        block = dict(bounds=bounds, w=w, q=q, ax=ax, cP=cP, cw=cw * jac, cq=cq, vq=vq)
-        if not hasattr(self, "w"):
-            for key, val in block.items():
-                setattr(self, key, val)
-        else:
-            for key, val in block.items():
-                setattr(self, key, np.concatenate([getattr(self, key), val]))
+        cP, cw = _tensor(_split(bounds, ax).reshape(-1, self.dim, 2))
+        cP = cP.reshape(-1, self.dim)
+        vals = self._eval(np.concatenate([cP, _vertices(bounds).reshape(-1, self.dim)]))
+        jac = self.cset.chart_jacobian(cP)
+        return dict(bounds=bounds, w=w, q=q, ax=ax, cP=cP.reshape(m, k2, self.dim),
+                    cw=cw.reshape(m, k2) * jac.reshape(m, k2),
+                    cq=vals[:m * k2].reshape(m, k2), vq=vals[m * k2:].reshape(m, -1))
 
     def refine(self, mask):
         """Split the flagged cells; their halves inherit the child-level
         evaluations as their own parent level, so only grandchildren and
         vertices cost new evaluations."""
-        keep = ~mask
-        halves = _split(self.bounds[mask], self.ax[mask])
-        new_bounds = halves.reshape(-1, self.dim, 2)
-        new_w = self.cw[mask].reshape(-1, self.k)
-        new_q = self.cq[mask].reshape(-1, self.k)
-        for key in ("bounds", "w", "q", "ax", "cP", "cw", "cq", "vq"):
-            setattr(self, key, getattr(self, key)[keep])
-        self._expand(new_bounds, new_w, new_q)
-
-    @property
-    def n_cells(self):
-        return len(self.bounds)
-
-    @property
-    def n_child_nodes(self):
-        return self.cq.size
+        halves = _split(self.bounds[mask], self.ax[mask]).reshape(-1, self.dim, 2)
+        block = self._expand(halves, self.cw[mask].reshape(-1, self.k), self.cq[mask].reshape(-1, self.k))
+        for key, val in block.items():
+            setattr(self, key, np.concatenate([getattr(self, key)[~mask], val]))
 
 
 def _bisect_l1(qv, wv, s, d, M, total_measure):
@@ -250,52 +210,33 @@ def _bisect_l1(qv, wv, s, d, M, total_measure):
     return 0.5 * (lo + hi)
 
 
-def _adaptive_solve(cset, qfn, s, d, M, breaks, tol, n0, budget):
-    cells = _Cells(cset, qfn, breaks=breaks, n0=n0)
-    e = d / s
-    L = None
-    L_prev = None
-    info = {}
-    for rnd in range(_MAX_ROUNDS):
-        L = _bisect_l1(cells.cq.ravel(), cells.cw.ravel(), s, d, M, cset.total_measure)
-        nc = cells.n_cells
+def _refine(cells, integrand, tol, budget):
+    """The adaptive loop shared by every integral on cells.
 
-        gq = _level_density(cells.q, L, M, e)
-        gc = _level_density(cells.cq, L, M, e)
-        ests = np.abs(
-            np.einsum("ck,ck->c", cells.w, gq) - np.einsum("ck,ck->c", cells.cw, gc)
-        )
+    Each round ``integrand(cells)`` returns the integrand at the parent-
+    and child-level nodes, the cells to split whatever their estimate, and
+    whether the caller's result has settled.  Cells whose split-compare
+    estimate exceeds a quarter of the mean (or of tol per cell) are split.
+    The round that stops has estimated the cells left behind; returns the
+    solver_info of that round.
+    """
+    for rnd in range(1, _MAX_ROUNDS + 2):
+        fp, fc, force, settled = integrand(cells)
+        ests = np.abs(np.einsum("ck,ck->c", cells.w, fp) - np.einsum("ck,ck->c", cells.cw, fc))
         total = float(ests.sum())
-
-        # support-boundary cells can hide mass between the boundary and
-        # the outermost node at every refinement level while both levels
-        # agree on zero; vertex values expose the crossing
-        allq = np.concatenate([cells.q, cells.cq, cells.vq], axis=1)
-        fin = np.isfinite(allq)
-        qmin = np.where(fin, allq, np.inf).min(axis=1)
-        qmax = np.where(fin, allq, -np.inf).max(axis=1)
-        hidden = np.abs(cells.cw).sum(axis=1) * _level_density(qmin, L, M, e)
-        straddle = (qmin < L) & (L < qmax) & (hidden > 0.25 * tol / nc)
-
-        stable = L_prev is not None and abs(L - L_prev) <= 1e-13 * max(1.0, abs(L))
-        L_prev = L
-        info = dict(rounds=rnd + 1, cells=nc, nodes=cells.n_child_nodes,
+        nc = len(ests)
+        info = dict(rounds=rnd, cells=nc, nodes=cells.cq.size,
                     error_estimate=total, evaluations=cells.n_eval)
-        if total < tol and stable and not straddle.any():
-            break
-        if cells.n_child_nodes >= budget:
-            break
-        cut = max(0.25 * total / nc, 0.25 * tol / nc)
-        mask = (ests > cut) | straddle
+        if total <= tol and settled and not np.any(force):
+            return info | {"stop_reason": "tol"}
+        if cells.cq.size >= budget:
+            return info | {"stop_reason": "budget"}
+        if rnd > _MAX_ROUNDS:
+            return info | {"stop_reason": "max_rounds"}
+        mask = (ests > max(0.25 * total / nc, 0.25 * tol / nc)) | force
         if not mask.any():
-            if stable:
-                break
             mask[int(np.argmax(ests))] = True
         cells.refine(mask)
-    else:
-        L = _bisect_l1(cells.cq.ravel(), cells.cw.ravel(), s, d, M, cset.total_measure)
-        info["rounds"] = _MAX_ROUNDS
-    return L, cells, info
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +324,10 @@ def solve_equilibrium(
     q to quadrature cell edges.  ``tol`` bounds the rule's own error
     estimate for the total mass integral; refinement also stops once
     the rule has ``budget`` child nodes.  ``n0`` sets the initial cells
-    per axis (32 on curves, 24 x 24 on surfaces by default).
+    per axis (32 on curves, 24 x 24 on surfaces by default).  The
+    measure's ``solver_info`` holds the rounds, cells, nodes, error
+    estimate and field evaluations of the final rule, and ``stop_reason``:
+    ``tol``, ``budget`` or ``max_rounds``.
     """
     d = cset.hausdorff_dim
     s = float(s)
@@ -392,12 +336,28 @@ def solve_equilibrium(
     if c_sd is None:
         c_sd = riesz_constant(s, d)
     M = m_constant(s, d, c_sd)
-    node_q = np.asarray(field.evaluate(cset.nodes), dtype=float)
-    if not np.isfinite(node_q).any():
-        raise EquilibriumError("field is infinite at every quadrature node")
-    L, cells, info = _adaptive_solve(
-        cset, field.evaluate, s, d, M, getattr(field, "breaks", None), tol, n0, budget
-    )
+    e = d / s
+    L = None
+
+    def integrand(cells):
+        # bisect L on this round's rule, then flag the cells that straddle
+        # the support boundary: they can hide mass between the boundary
+        # and the outermost node at every level while both levels agree
+        # on zero, and their vertex values expose the crossing
+        nonlocal L
+        L_prev = L
+        L = _bisect_l1(cells.cq.ravel(), cells.cw.ravel(), s, d, M, cset.total_measure)
+        allq = np.concatenate([cells.q, cells.cq, cells.vq], axis=1)
+        fin = np.isfinite(allq)
+        qmin = np.where(fin, allq, np.inf).min(axis=1)
+        qmax = np.where(fin, allq, -np.inf).max(axis=1)
+        hidden = np.abs(cells.cw).sum(axis=1) * _level_density(qmin, L, M, e)
+        straddle = (qmin < L) & (L < qmax) & (hidden > 0.25 * tol / len(qmin))
+        settled = L_prev is not None and abs(L - L_prev) <= 1e-13 * max(1.0, abs(L))
+        return _level_density(cells.q, L, M, e), _level_density(cells.cq, L, M, e), straddle, settled
+
+    cells = _Cells(cset, field.evaluate, breaks=getattr(field, "breaks", None), n0=n0)
+    info = _refine(cells, integrand, tol, budget)
     return EquilibriumMeasure(
         cset, field, s, M, L,
         cells.cw.ravel(), cells.cq.ravel(),
@@ -413,25 +373,17 @@ def integrate_adaptive(
 ) -> float:
     """Adaptive integral of fn over the set, refined by split-compare.
 
-    Shares the cell machinery of the equilibrium solver.  Integrands
+    Shares the cells and the refinement loop of the equilibrium solver.  Integrands
     whose support ends between quadrature nodes need their edges passed
     as ``breaks``; there is no free support detection here because no
     level-set structure is available for a generic integrand.
     """
+    def finite(v):
+        return np.where(np.isfinite(v), v, 0.0)
+
+    def integrand(cells):
+        return finite(cells.q), finite(cells.cq), False, True
+
     cells = _Cells(cset, fn, breaks=breaks)
-    for _ in range(_MAX_ROUNDS):
-        fp = np.where(np.isfinite(cells.q), cells.q, 0.0)
-        fc = np.where(np.isfinite(cells.cq), cells.cq, 0.0)
-        ests = np.abs(
-            np.einsum("ck,ck->c", cells.w, fp) - np.einsum("ck,ck->c", cells.cw, fc)
-        )
-        total = float(ests.sum())
-        if total < tol or cells.n_child_nodes >= _NODE_BUDGET:
-            break
-        cut = max(0.25 * total / cells.n_cells, 0.25 * tol / cells.n_cells)
-        mask = ests > cut
-        if not mask.any():
-            mask[int(np.argmax(ests))] = True
-        cells.refine(mask)
-    fc = np.where(np.isfinite(cells.cq), cells.cq, 0.0)
-    return float(np.dot(cells.cw.ravel(), fc.ravel()))
+    _refine(cells, integrand, tol, _NODE_BUDGET)
+    return float(np.dot(cells.cw.ravel(), finite(cells.cq).ravel()))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -82,6 +83,12 @@ class OptimizerSettings:
     init: str = "weighted"  # weighted | density | stratified
 
     def __post_init__(self):
+        for key in ("max_iters", "restarts", "rng_seed"):  # whole numbers only
+            value = getattr(self, key)
+            whole = isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+            if isinstance(value, bool) or not whole:
+                raise ValueError(f"{key} must be a whole number, got {value!r}")
+            setattr(self, key, int(value))
         if self.max_iters <= 0 or self.restarts <= 0 or self.grad_tol <= 0:
             raise ValueError("max_iters, restarts, grad_tol must be positive")
         if self.init not in ("weighted", "density", "stratified"):

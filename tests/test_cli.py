@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 
 import rieszfield
 from rieszfield import cli
-from rieszfield.equilibrium import EquilibriumError
+from rieszfield.equilibrium import EquilibriumError, solve_equilibrium
 from rieszfield.fields import field_from_descriptor
 from rieszfield.geometry import set_from_descriptor
 
@@ -76,6 +77,7 @@ def test_solve_end_to_end(tmp_path, capsys, validate_report_schema):
     assert report["n_points"] == 20
     assert report["comparison"] is None
     assert sorted(report["files"]) == sorted(RUN_FILES)
+    assert report["solver_info"]["stop_reason"] == "tol"
     timings = report["timings"]
     assert set(timings) == {"equilibrium_s", "minimize_s", "diagnostics_s"}
     assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
@@ -159,6 +161,29 @@ def test_solve_rejects_fractional_count(tmp_path, capsys, monkeypatch, overrides
     assert cli.main(["solve", cfg, "--out", str(tmp_path / "run")]) == 2
     assert f"{key} must be a whole number" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_solve_warns_on_budget_stop(tmp_path, capsys, monkeypatch, validate_report_schema):
+    # a node budget below the initial rule's 192 nodes: the run completes
+    # on a rule that never met tol, and says so
+    monkeypatch.setattr(cli, "solve_equilibrium", functools.partial(solve_equilibrium, budget=100))
+    out = tmp_path / "run"
+    assert cli.main(["solve", _tiny_config(tmp_path), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    validate_report_schema(report)
+    assert report["solver_info"]["stop_reason"] == "budget"
+    warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+    assert len(warnings) == 1
+    assert "stopped on budget" in warnings[0]
+
+
+def test_design_warns_on_budget_stop(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "solve_equilibrium", functools.partial(solve_equilibrium, budget=100))
+    set_json = _write_json(tmp_path / "set.json", {"kind": "interval", "a": 0.0, "b": 2.0})
+    rho_json = _write_json(tmp_path / "rho.json", {"kind": "uniform"})
+    code = cli.main(["design", set_json, rho_json, "--s", "4", "--out", str(tmp_path / "design.json")])
+    assert code == 0
+    assert "warning: equilibrium solve stopped on budget" in capsys.readouterr().err
 
 
 def test_solve_small_n_exports_measure_table(tmp_path, validate_report_schema):

@@ -116,6 +116,16 @@ def test_tolerance_refinement(interval02):
     assert tight.solver_info["nodes"] >= loose.solver_info["nodes"]
 
 
+def test_stop_reason(interval02, sphere):
+    met = solve_equilibrium(interval02, catalog("e"), 4.0)
+    assert met.solver_info["stop_reason"] == "tol"
+    assert met.solver_info["error_estimate"] < 1e-9
+    capped = solve_equilibrium(sphere, catalog("d"), 4.0, budget=20_000)
+    assert capped.solver_info["stop_reason"] == "budget"
+    assert capped.solver_info["nodes"] >= 20_000
+    assert capped.solver_info["error_estimate"] > 1e-9
+
+
 def test_grid_insensitivity(interval02):
     a = solve_equilibrium(interval02, catalog("e"), 4.0, n0=32)
     b = solve_equilibrium(interval02, catalog("e"), 4.0, n0=64)
@@ -162,6 +172,19 @@ def test_integrate_adaptive_with_break(interval02):
     f = lambda X: np.abs(np.atleast_2d(X)[:, 0] - 0.7)
     got = integrate_adaptive(interval02, f, breaks={0: (0.7,)}, tol=1e-13)
     assert got == pytest.approx((0.7**2 + 1.3**2) / 2.0, rel=1e-12)
+
+
+def test_integrate_adaptive_torus(torus24):
+    # R = 3, c = 1: the area element c (R + c cos v) varies over the chart
+    big_r, tube_c = 3.0, 1.0
+    area = integrate_adaptive(torus24, lambda X: np.ones(len(np.atleast_2d(X))))
+    assert area == pytest.approx(4.0 * math.pi**2 * big_r * tube_c, rel=1e-11)
+    z2 = integrate_adaptive(torus24, lambda X: np.atleast_2d(X)[:, 2] ** 2)
+    assert z2 == pytest.approx(2.0 * math.pi**2 * big_r * tube_c**3, rel=1e-12)
+    # both integrals above come out the same with the area element replaced
+    # by its mean R c; the squared distance to the axis does not
+    rho2 = integrate_adaptive(torus24, lambda X: np.atleast_2d(X)[:, 0] ** 2 + np.atleast_2d(X)[:, 1] ** 2)
+    assert rho2 == pytest.approx(4.0 * math.pi**2 * tube_c * (big_r**3 + 1.5 * big_r * tube_c**2), rel=1e-12)
 
 
 def test_csv_emission(tmp_path, measure_e):

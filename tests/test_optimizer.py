@@ -228,6 +228,17 @@ def test_settings_validation():
         OptimizerSettings(max_iters=0)
     with pytest.raises(ValueError):
         OptimizerSettings(init="sobol")
+    # counts must be whole numbers; the error names the key
+    for key, value in (("max_iters", 10.5), ("restarts", 1.5), ("rng_seed", 0.25),
+                       ("max_iters", "10"), ("restarts", True)):
+        with pytest.raises(ValueError, match=f"{key} must be a whole number"):
+            OptimizerSettings(**{key: value})
+
+
+def test_settings_accept_whole_floats():
+    settings = OptimizerSettings(max_iters=10.0, restarts=np.int64(2), rng_seed=3.0)
+    assert (settings.max_iters, settings.restarts, settings.rng_seed) == (10, 2, 3)
+    assert all(type(v) is int for v in (settings.max_iters, settings.restarts, settings.rng_seed))
 
 
 def test_minimize_failure_on_infinite_field(interval01):
