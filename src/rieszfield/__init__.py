@@ -4,8 +4,8 @@ Submodules: geometry (compact sets), constants (C(s, d) table),
 equilibrium (limiting density solver), fields (field catalog + design),
 optimizer (projected descent), diagnostics (quality metrics), cli.
 
-Attribute access is lazy so that the command-line entry point can pin
-thread counts before numpy is first imported.
+Attribute access is lazy: importing the package loads no submodule,
+and so neither numpy nor scipy, until one of these names is first used.
 """
 
 from importlib import import_module

@@ -8,20 +8,6 @@ problems, 3 for solver failures, 4 for I/O failures.
 
 from __future__ import annotations
 
-import os
-
-# Thread caps must be in the environment before numpy loads its BLAS,
-# which is why this block sits above the numpy import.
-_threads = os.environ.get("RIESZ_THREADS")
-if _threads:
-    for _var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ.setdefault(_var, _threads)
-
 import argparse
 import json
 import sys
@@ -57,23 +43,6 @@ class CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-
-
-def _jsonable(obj):
-    """numpy scalars/arrays to plain python for json.dump."""
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)) and not isinstance(obj, bool):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
 
 
 def _load_json(path):
@@ -178,7 +147,7 @@ def _write_run(out_dir: Path, result, measure, cset, fld, report_dict):
     )
     report_dict["files"] = list(_REPORT_FILES)
     with open(out_dir / "report.json", "w") as fh:
-        json.dump(_jsonable(report_dict), fh, indent=2)
+        json.dump(report_dict, fh, indent=2)
         fh.write("\n")
     missing = [f for f in _REPORT_FILES if not (out_dir / f).is_file()]
     if missing:
@@ -198,8 +167,8 @@ def _run(cset, fld, s, n, const, settings, out_dir, label, entry=None):
     result = minimize(cset, fld, s, n, settings, measure=measure)
     t_minimize = time.perf_counter()
     report = diagnostics.build_report(result.config, fld, s, measure)
-    t_diagnostics = time.perf_counter()
     comparison = None if entry is None else _compare(entry, fld, measure, result.config, report)
+    t_diagnostics = time.perf_counter()
     d = cset.hausdorff_dim
     report_dict = {
         "label": label,
@@ -373,7 +342,7 @@ def cmd_design(args) -> int:
         },
     }
     with open(args.out, "w") as fh:
-        json.dump(_jsonable(out), fh, indent=2)
+        json.dump(out, fh, indent=2)
         fh.write("\n")
     print(f"designed field: q = -{design.m_constant:.9g} * rho(x)^(s/d)")
     print(f"round trip: |L1| = {abs(measure.l1):.3g}, max rel density error = {rel_err:.3g}")

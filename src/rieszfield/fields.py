@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np

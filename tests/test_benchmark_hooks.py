@@ -1,6 +1,7 @@
 """The traced benchmark run (perfbench/tracing.py) wraps package names
-from outside and reads solver results by key; a renamed hook would
-otherwise surface only in the minutes-long traced run."""
+from outside and reads solver results by key, and its smoke test's fault
+injection (perfbench/worker.py) rebinds them; a renamed or bypassed hook
+would otherwise surface only in the minutes-long benchmark runs."""
 
 import importlib
 import importlib.util
@@ -9,10 +10,11 @@ from pathlib import Path
 
 import numpy as np
 
+from rieszfield import diagnostics, optimizer
 from rieszfield.equilibrium import solve_equilibrium
 from rieszfield.fields import ExternalField
 from rieszfield.geometry import make_interval
-from rieszfield.optimizer import minimize
+from rieszfield.optimizer import OptimizerSettings, minimize, tau
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -43,3 +45,23 @@ def test_solver_info_has_traced_keys():
     zero = ExternalField(lambda X: np.zeros(len(np.atleast_2d(X))))
     info = solve_equilibrium(make_interval(0.0, 1.0), zero, 2.0).solver_info
     assert {"nodes", "evaluations", "rounds"} <= set(info)
+
+
+def test_energy_fault_reaches_reported_numbers(monkeypatch):
+    # the benchmark's fault injection (perfbench/worker.py --fault energy)
+    # rebinds these two module attributes and expects every reported
+    # energy to change with them
+    exact = optimizer.energy
+
+    def doubled(*args, **kwargs):
+        return 2.0 * exact(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "energy", doubled)
+    monkeypatch.setattr(diagnostics, "energy", doubled)
+    cset = make_interval(0.0, 1.0)
+    zero = ExternalField(lambda X: np.zeros(len(np.atleast_2d(X))))
+    result = minimize(cset, zero, 2.0, 6, OptimizerSettings(max_iters=20))
+    assert result.energy == 2.0 * exact(result.config, zero, 2.0)
+    measure = solve_equilibrium(cset, zero, 2.0)
+    report = diagnostics.build_report(result.config, zero, 2.0, measure)
+    assert report.energy_ratio == 2.0 * exact(result.config, zero, 2.0) / tau(2.0, 1, 6)

@@ -310,35 +310,12 @@ def test_reproduce_unknown_example():
     assert exc.value.code == 2
 
 
-def _subprocess_env(**overrides):
-    """os.environ plus overrides, with this package's source on PYTHONPATH."""
-    env = dict(os.environ, **overrides)
+def _subprocess_env():
+    """os.environ with this package's source on PYTHONPATH."""
+    env = dict(os.environ)
     src = str(Path(rieszfield.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
-
-
-def test_thread_cap_env(tmp_path):
-    code = (
-        "import rieszfield.cli, os;"
-        "print(os.environ['OMP_NUM_THREADS'], os.environ['OPENBLAS_NUM_THREADS'])"
-    )
-    env = _subprocess_env(RIESZ_THREADS="3")
-    env.pop("OMP_NUM_THREADS", None)
-    env.pop("OPENBLAS_NUM_THREADS", None)
-    res = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    assert res.stdout.split() == ["3", "3"]
-
-
-def test_thread_cap_respects_existing(tmp_path):
-    code = "import rieszfield.cli, os; print(os.environ['OMP_NUM_THREADS'])"
-    env = _subprocess_env(RIESZ_THREADS="3", OMP_NUM_THREADS="5")
-    res = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    assert res.stdout.strip() == "5"
 
 
 def _declared_scripts():

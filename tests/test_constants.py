@@ -35,6 +35,14 @@ def test_epstein_zeta_hex_against_oracles(s, value):
     assert epstein_zeta_hex(float(s)) == pytest.approx(value, rel=1e-10)
 
 
+def test_epstein_zeta_hex_near_the_pole():
+    # 6 zeta(s/2) 3^(-s/2) (zeta(s/2, 1/3) - zeta(s/2, 2/3)) evaluated with
+    # mpmath at 40 significant digits, at the doubles nearest 2.2 and 2.5;
+    # a truncated lattice sum loses accuracy as s approaches 2
+    assert epstein_zeta_hex(2.2) == pytest.approx(39.779083962835921, rel=1e-13)
+    assert epstein_zeta_hex(2.5) == pytest.approx(18.120200416593940, rel=1e-13)
+
+
 def test_d1_line_is_two_zeta():
     c = riesz_constant(4.0, 1)
     assert c.value == pytest.approx(2.0 * zeta(4.0), rel=1e-14)
