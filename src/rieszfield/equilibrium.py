@@ -3,11 +3,12 @@
 For s >= d the N-point minimizers distribute, in the large-N limit,
 according to a density of the form ((L1 - q)/M)^(d/s) clipped at zero,
 where L1 is fixed by unit total mass.  This module solves that scalar
-equation with bisection on top of an adaptive composite Gauss-Legendre
-rule in parameter space, refined where the integrand misbehaves: the
-clipped power law has kinks along the support boundary, external fields
-can have poles, and the fixed product rules of the geometry module are
-nowhere near the accuracy the printed constants demand.
+equation with Brent's method on top of an adaptive composite
+Gauss-Legendre rule in parameter space, refined where the integrand
+misbehaves: the clipped power law has kinks along the support boundary,
+external fields can have poles, and the fixed product rules of the
+geometry module are nowhere near the accuracy the printed constants
+demand.
 
 Cells are tensor products of GL3 rules in any parameter dimension and
 are refined on a split-compare error estimate (cell integral vs the sum
@@ -64,8 +65,8 @@ class EquilibriumError(RuntimeError):
 
 def _level_density(q, L, M, e):
     """The limiting density ((L - q)/M)_+^e at field values q, 0 where q
-    is not finite; e = d/s.  Works in one buffer: the bisection calls it
-    on every child node of the rule, 80 times per round."""
+    is not finite; e = d/s.  Works in one buffer: the root finder calls
+    it on every child node of the rule about a dozen times per round."""
     g = np.subtract(L, q)
     g /= M
     np.maximum(g, 0.0, out=g)
@@ -181,33 +182,90 @@ class _Cells:
             setattr(self, key, np.concatenate([getattr(self, key)[~mask], val]))
 
 
-def _bisect_l1(qv, wv, s, d, M, total_measure):
-    """Solve mass(L) = 1 on the rule (qv, wv) by bracketed bisection."""
-    finite = np.isfinite(qv)
-    if not finite.any():
-        raise EquilibriumError("field is infinite at every quadrature node")
-    qf = qv[finite]
-    wf = wv[finite]
-    e = d / s
-    lo = float(qf.min())
-    hi = float(qf.max()) + M * max(total_measure, 1e-300) ** (-s / d) + 1.0
+class _Mass:
+    """The rule's total mass as a function of the level L: the sum of
+    w ((L - q)/M)_+^e over the nodes where q is finite.  Counts its passes
+    over the rule in ``passes``."""
 
-    def mass(L):
-        return float(np.dot(wf, _level_density(qf, L, M, e)))
+    def __init__(self, qv, wv, M, e):
+        finite = np.isfinite(qv)
+        if not finite.any():
+            raise EquilibriumError("field is infinite at every quadrature node")
+        self.q, self.w, self.M, self.e = qv[finite], wv[finite], M, e
+        self.passes = 0
 
+    def __call__(self, L):
+        self.passes += 1
+        return float(np.dot(self.w, _level_density(self.q, L, self.M, self.e)))
+
+
+def _brent_l1(mass, scale):
+    """Solve mass(L) = 1 by Brent's method and return the lower end of the
+    final bracket: an L at or just below the root, where mass(L) <= 1.
+
+    ``scale`` is the level of a zero field, M |A|^(-s/d).  The bracket
+    starts at [min q, max q + scale + 1] and is widened until it holds
+    the root.  Brent (Algorithms for Minimization without Derivatives,
+    1973, ch. 4) interpolates inversely and falls back to bisection when
+    the interpolant steps badly.  It stops once the lower end's mass is
+    within 2 eps of 1, as close as the rounded sum can tell, or once the
+    bracket is narrower than 4 eps |L| + 4 eps^2 scale.
+
+    Ending on the lower end, and on the mass rather than on a vanishing
+    bracket, matters when the root is 0, as for a designed field: when
+    rounding leaves the rule's mass at 0 just short of 1, the rule's own
+    root sits a hair above 0 (about that shortfall raised to the power
+    s/d), and any L above 0 gives the designed zero region a positive
+    density.  The absolute part of the bracket width keeps the search
+    from chasing such a root closer to 0 than eps^2 of the level scale.
+    """
+    eps = float(np.finfo(float).eps)
+    lo = float(mass.q.min())
+    hi = float(mass.q.max()) + scale + 1.0
     grown = 0
-    while mass(hi) < 1.0:
+    while (fhi := mass(hi) - 1.0) < 0.0:
         grown += 1
         if grown > 60:
             raise EquilibriumError("mass function cannot bracket 1; inconsistent inputs")
         hi = lo + 2.0 * (hi - lo)
-    for _ in range(80):  # the bracket shrinks to 2^-80 of its width
-        mid = 0.5 * (lo + hi)
-        if mass(mid) < 1.0:
-            lo = mid
+    # no node carries mass at the smallest field value, so mass(lo) = 0
+    # without a pass.  b is the best iterate, c the other end of the
+    # bracket, a the previous b
+    a, fa, b, fb = lo, -1.0, hi, fhi
+    c, fc = a, fa
+    step = prev = b - a
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            step = prev = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 2.0 * eps * (abs(b) + eps * scale)
+        half = 0.5 * (c - b)
+        low, flow = (b, fb) if fb <= 0.0 else (c, fc)
+        if flow >= -2.0 * eps or abs(half) <= tol:
+            return low
+        if abs(prev) >= tol and abs(fa) > abs(fb):
+            r = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * half * r, 1.0 - r
+            else:  # inverse quadratic through a, b, c
+                qa, rc = fa / fc, fb / fc
+                p = r * (2.0 * half * qa * (qa - rc) - (b - a) * (rc - 1.0))
+                q = (qa - 1.0) * (rc - 1.0) * (r - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * half * q - abs(tol * q), abs(prev * q)):
+                prev, step = step, p / q
+            else:
+                step = prev = half
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            step = prev = half
+        a, fa = b, fb
+        b += step if abs(step) > tol else (tol if half > 0.0 else -tol)
+        fb = mass(b) - 1.0
 
 
 def _refine(cells, integrand, tol, budget):
@@ -326,8 +384,11 @@ def solve_equilibrium(
     the rule has ``budget`` child nodes.  ``n0`` sets the initial cells
     per axis (32 on curves, 24 x 24 on surfaces by default).  The
     measure's ``solver_info`` holds the rounds, cells, nodes, error
-    estimate and field evaluations of the final rule, and ``stop_reason``:
-    ``tol``, ``budget`` or ``max_rounds``.
+    estimate and field evaluations of the final rule, the passes of the
+    mass sum over the whole solve (``mass_evaluations``), and
+    ``stop_reason``: ``tol``, ``budget`` or ``max_rounds``.  ``tol`` also
+    needs L1 settled: last round's L1 must solve this round's mass
+    equation to within ``tol``.
     """
     d = cset.hausdorff_dim
     s = float(s)
@@ -337,27 +398,32 @@ def solve_equilibrium(
         c_sd = riesz_constant(s, d)
     M = m_constant(s, d, c_sd)
     e = d / s
+    scale = M * max(cset.total_measure, 1e-300) ** (-s / d)
     L = None
+    passes = 0
 
     def integrand(cells):
-        # bisect L on this round's rule, then flag the cells that straddle
-        # the support boundary: they can hide mass between the boundary
-        # and the outermost node at every level while both levels agree
-        # on zero, and their vertex values expose the crossing
-        nonlocal L
-        L_prev = L
-        L = _bisect_l1(cells.cq.ravel(), cells.cw.ravel(), s, d, M, cset.total_measure)
+        # solve for L on this round's rule, then flag the cells that
+        # straddle the support boundary: they can hide mass between the
+        # boundary and the outermost node at every level while both
+        # levels agree on zero, and their vertex values expose the
+        # crossing.  L has settled once last round's L solves this
+        # round's mass equation to within tol
+        nonlocal L, passes
+        mass = _Mass(cells.cq.ravel(), cells.cw.ravel(), M, e)
+        settled = L is not None and abs(mass(L) - 1.0) <= tol
+        L = _brent_l1(mass, scale)
+        passes += mass.passes
         allq = np.concatenate([cells.q, cells.cq, cells.vq], axis=1)
         fin = np.isfinite(allq)
         qmin = np.where(fin, allq, np.inf).min(axis=1)
         qmax = np.where(fin, allq, -np.inf).max(axis=1)
         hidden = np.abs(cells.cw).sum(axis=1) * _level_density(qmin, L, M, e)
         straddle = (qmin < L) & (L < qmax) & (hidden > 0.25 * tol / len(qmin))
-        settled = L_prev is not None and abs(L - L_prev) <= 1e-13 * max(1.0, abs(L))
         return _level_density(cells.q, L, M, e), _level_density(cells.cq, L, M, e), straddle, settled
 
     cells = _Cells(cset, field.evaluate, breaks=getattr(field, "breaks", None), n0=n0)
-    info = _refine(cells, integrand, tol, budget)
+    info = _refine(cells, integrand, tol, budget) | {"mass_evaluations": passes}
     return EquilibriumMeasure(
         cset, field, s, M, L,
         cells.cw.ravel(), cells.cq.ravel(),

@@ -7,7 +7,9 @@ import pytest
 from rieszfield.constants import m_constant, zeta
 from rieszfield.equilibrium import (
     EquilibriumError,
+    _brent_l1,
     _level_density,
+    _Mass,
     integrate_adaptive,
     solve_equilibrium,
 )
@@ -101,6 +103,27 @@ def test_level_density_formula(e):
     assert np.array_equal(q, before, equal_nan=True)
 
 
+@pytest.mark.parametrize("e", [1.0, 0.5, 0.25])
+def test_brent_ends_at_or_below_root(e):
+    # the returned level is the lower end of the final bracket: its mass
+    # never exceeds 1, and falls short of it by no more than rounding
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        mass = _Mass(rng.normal(size=300), rng.uniform(0.5, 1.5, 300) / 300, 1.3, e)
+        L = _brent_l1(mass, 1.3)
+        assert -1e-14 <= mass(L) - 1.0 <= 0.0
+
+
+def test_brent_keeps_zero_level_node_empty():
+    # a node at q = 0 fills a mass shortfall of 1e-12 only at L ~ 1e-48,
+    # closer to 0 than the search resolves (eps^2 of the level scale), so
+    # L stays at or below 0 and that node keeps exactly zero density
+    mass = _Mass(np.array([0.0, -1.0]), np.array([0.5, 1.0 - 1e-12]), 1.0, 0.25)
+    L = _brent_l1(mass, 1.0)
+    assert -1e-30 < L <= 0.0
+    assert mass.passes < 150
+
+
 def test_s_value_consistency(measure_e):
     # S = (L1 + (s/d) int q dmu) / (1 + s/d)
     ratio = measure_e.s / measure_e.d
@@ -124,6 +147,29 @@ def test_stop_reason(interval02, sphere):
     assert capped.solver_info["stop_reason"] == "budget"
     assert capped.solver_info["nodes"] >= 20_000
     assert capped.solver_info["error_estimate"] > 1e-9
+
+
+@pytest.mark.parametrize("example_id", ["a", "b", "c", "d", "e"])
+def test_mass_evaluations_per_round(example_id, sphere, torus24, interval02):
+    # Brent's method takes about a dozen passes of the mass sum per round,
+    # and ending at or below the root still keeps unit mass
+    cset, s = {"a": (sphere, 2.0), "b": (sphere, 2.0), "c": (torus24, 8.0),
+               "d": (sphere, 4.0), "e": (interval02, 4.0)}[example_id]
+    m = solve_equilibrium(cset, catalog(example_id), s)
+    info = m.solver_info
+    assert 1 <= info["mass_evaluations"] <= 20 * info["rounds"]
+    assert abs(m.mass - 1.0) <= 1e-12
+
+
+def test_settle_gate_follows_tol(interval02):
+    # L1 settles once last round's L1 solves this round's mass equation to
+    # within tol, so every tol stops on tol, and a tighter one never sooner
+    rounds = []
+    for tol in (1e-5, 1e-6, 1e-7, 1e-8, 1e-9):
+        m = solve_equilibrium(interval02, catalog("e"), 4.0, tol=tol)
+        assert m.solver_info["stop_reason"] == "tol", tol
+        rounds.append(m.solver_info["rounds"])
+    assert rounds == sorted(rounds)
 
 
 def test_grid_insensitivity(interval02):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rieszfield.constants import m_constant
+from rieszfield.constants import m_constant, riesz_constant
 from rieszfield.equilibrium import integrate_adaptive, solve_equilibrium
 from rieszfield.fields import (
     DensityMap,
@@ -95,6 +95,20 @@ def test_design_zero_region_clips(interval02):
     assert np.all(design.q.evaluate(x) == 0.0)
     m = solve_equilibrium(interval02, design.q, 4.0)
     assert np.all(m.density(x) == 0.0)
+    assert abs(m.l1) < 1e-8
+
+
+@pytest.mark.parametrize("k", range(-4, 5))
+def test_design_zero_region_clips_ulp_shifts(interval02, k):
+    # C(4, 1) a few ulp off moves the rounding of the designed mass, which
+    # can put the rule's own root a hair above 0; L1 must not follow it
+    # there, so the zero region keeps exactly zero density
+    c = riesz_constant(4.0, 1, override=riesz_constant(4.0, 1).value * (1.0 + k * 2.2e-16))
+    rho = density_from_descriptor({"kind": "truncated_quadratic", "center": 1.0, "halfwidth": 0.5}, interval02)
+    with pytest.warns(UserWarning, match="renormalizing"):
+        design = design_field(interval02, rho, 4.0, c_sd=c)
+    m = solve_equilibrium(interval02, design.q, 4.0, c_sd=c)
+    assert np.all(m.density(np.array([[0.1], [1.9]])) == 0.0)
     assert abs(m.l1) < 1e-8
 
 
