@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -28,7 +28,6 @@ __all__ = [
     "separation",
     "covering_radius",
     "mesh_ratio",
-    "point_potential",
     "containment_check",
     "empirical_density",
     "density_table_average",
@@ -82,22 +81,6 @@ def covering_radius(config: Configuration, mesh=None, sublevel=None) -> Covering
 def mesh_ratio(config: Configuration, mesh=None, sublevel=None) -> float:
     """Covering radius over separation."""
     return covering_radius(config, mesh, sublevel).value / separation(config)
-
-
-def point_potential(x, config: Configuration, fld, s: float) -> float:
-    """Field-adjusted potential of one point against a configuration.
-
-    Coincidences with configuration points are excluded from the pair
-    sum, so evaluating at a configuration point gives its own potential.
-    """
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    r = np.linalg.norm(config.points - x, axis=1)
-    r = r[r > 0.0]
-    if len(r) == 0:
-        return np.inf
-    qv = float(np.asarray(fld.evaluate(x), dtype=float)[0])
-    d = config.cset.hausdorff_dim
-    return float((r ** -s).sum()) + tau(s, d, config.n) / config.n * qv
 
 
 def containment_check(config: Configuration, fld, l1: float) -> float:
@@ -297,20 +280,11 @@ class DiagnosticsReport:
     mesh_ratio: float
     energy_ratio: float
     s_predicted: float
-    weak_star_errors: list
+    weak_star_errors: list  # [label, error] pairs
     containment_margin: float
 
     def to_dict(self) -> dict:
-        return {
-            "separation": self.separation,
-            "covering_radius": self.covering_radius,
-            "covering_fill": self.covering_fill,
-            "mesh_ratio": self.mesh_ratio,
-            "energy_ratio": self.energy_ratio,
-            "s_predicted": self.s_predicted,
-            "weak_star_errors": [[label, err] for label, err in self.weak_star_errors],
-            "containment_margin": self.containment_margin,
-        }
+        return asdict(self)
 
 
 def build_report(
@@ -345,6 +319,6 @@ def build_report(
         mesh_ratio=cov.value / sep,
         energy_ratio=energy_ratio(config, fld, s),
         s_predicted=measure.s_value,
-        weak_star_errors=weak_star_error(config, measure),
+        weak_star_errors=[[label, err] for label, err in weak_star_error(config, measure)],
         containment_margin=containment_check(config, fld, measure.l1),
     )

@@ -1,11 +1,14 @@
 """Compact sets the energy lives on.
 
-Each set bundles what the rest of the package needs: a quadrature rule
-for the d-dimensional Hausdorff measure, a retraction (metric
-projection) back onto the set, tangent-plane projection for gradients,
-and a parametrization chart that the adaptive equilibrium solver can
-refine on.  Built-ins cover the interval, the round sphere, and the
-embedded torus; ``make_param_set`` accepts user charts.
+Every set is a chart over a parameter box: a map from the box into R^p,
+the d-volume density of that map, a retraction (metric projection) back
+onto the set, and tangent-plane projection for gradients.  One builder
+turns a chart into a ``CompactSet``: it fixes the quadrature rule for
+the d-dimensional Hausdorff measure, and the adaptive equilibrium solver
+and the covering mesh refine on the same chart.  Built-ins are the
+interval, the round sphere and the embedded torus, each with exact
+measure, diameter and chart stretch; ``make_param_set`` accepts user
+charts and estimates those three.
 """
 
 from __future__ import annotations
@@ -30,18 +33,23 @@ __all__ = [
 # most points a covering mesh may have (240 MB of float64 in R^3)
 _MESH_BUDGET = 10_000_000
 
+# quadrature nodes per parameter axis of the built-in sets
+_INTERVAL_NODES = (256,)
+_SPHERE_NODES = (96, 192)  # z = cos(theta), phi
+_TORUS_NODES = (128, 128)  # u, v
+
 # registry of named user charts for JSON round trips of "param" sets
 _PARAM_REGISTRY: dict[str, Callable[..., "CompactSet"]] = {}
 
 
 @dataclass
 class CompactSet:
-    """A compact d-rectifiable subset of R^p with quadrature and charts.
+    """A compact d-rectifiable subset of R^p, given as a chart.
 
     Attributes
     ----------
     ambient_dim : p, dimension of the embedding space
-    hausdorff_dim : d, intrinsic dimension
+    hausdorff_dim : d, intrinsic dimension (the number of chart axes)
     total_measure : H_d(A)
     diameter : Euclidean diameter of A
     nodes, weights : quadrature rule for integrals over A
@@ -50,7 +58,14 @@ class CompactSet:
     chart : parametrization, (n, param_dim) -> (n, p)
     chart_jacobian : d-volume density of the chart, (n, param_dim) -> (n,)
     param_bounds : rectangle in parameter space covered by the chart
+    periodic : per parameter axis, whether the chart wraps around it
+        (its two ends map to the same points)
+    chart_stretch : per parameter axis, the largest length |d chart/d p_k|;
+        it spaces the covering mesh
     kind : descriptor tag ("interval" | "sphere" | "torus" | "param")
+
+    total_measure, diameter and chart_stretch are exact on the built-in
+    sets and estimated on user charts.
     """
 
     ambient_dim: int
@@ -64,6 +79,8 @@ class CompactSet:
     chart: Callable[[np.ndarray], np.ndarray]
     chart_jacobian: Callable[[np.ndarray], np.ndarray]
     param_bounds: tuple
+    periodic: tuple
+    chart_stretch: tuple
     kind: str
     params: dict = field(default_factory=dict)
     _mesh_cache: tuple | None = field(default=None, repr=False)
@@ -92,22 +109,96 @@ class CompactSet:
         return {"kind": self.kind, **self.params}
 
 
-def _check_counts(*counts: int) -> None:
-    for c in counts:
-        if int(c) < 2:
-            raise ValueError("quadrature node counts must be at least 2")
+def _grid(axes) -> np.ndarray:
+    """Tensor grid of the per-axis points, one row per grid point."""
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def make_interval(a: float, b: float, n_quad: int = 256) -> CompactSet:
-    """The interval [a, b] in R^1 with Gauss-Legendre quadrature."""
+def _seamless(lo: float, hi: float, n: int) -> np.ndarray:
+    """n equally spaced points of a periodic axis, the seam at hi left out."""
+    return lo + np.arange(n) * ((hi - lo) / n)
+
+
+def _chart_set(
+    kind, params, chart, jacobian, bounds, counts, periodic, retract, tangent_project,
+    ambient_dim, total_measure=None, diameter=None, stretch=None,
+) -> CompactSet:
+    """The set a chart over the box ``bounds`` parametrizes.
+
+    The quadrature rule is a tensor product over the parameter axes,
+    ``counts[k]`` nodes on axis k: Gauss-Legendre on a closed axis, the
+    uniform trapezoid rule (exact for periodic integrands) on a periodic
+    one, times the chart jacobian.  Left out, the total measure is the
+    rule's sum, the diameter the widest pair of about 512 nodes, and the
+    chart stretch a central-difference probe on a 17-point grid per axis.
+    """
+    bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
+    if len(counts) != len(bounds):
+        raise ValueError("one node count per parameter axis required")
+    if min(counts) < 2:
+        raise ValueError("quadrature node counts must be at least 2")
+    axes, axws = [], []
+    for (lo, hi), c, wrap in zip(bounds, counts, periodic):
+        if wrap:
+            axes.append(_seamless(lo, hi, c))
+            axws.append(np.full(c, (hi - lo) / c))
+        else:
+            x, w = np.polynomial.legendre.leggauss(c)
+            axes.append(0.5 * (lo + hi) + 0.5 * (hi - lo) * x)
+            axws.append(0.5 * (hi - lo) * w)
+    P = _grid(axes)
+    wgrid = axws[0]
+    for w in axws[1:]:
+        wgrid = np.outer(wgrid, w).ravel()
+    nodes = np.asarray(chart(P), dtype=float)
+    if nodes.shape != (len(P), ambient_dim):
+        raise ValueError("chart must map (n, param_dim) to (n, ambient_dim)")
+    weights = wgrid * np.asarray(jacobian(P), dtype=float)
+    if np.any(weights <= 0) or not np.all(np.isfinite(weights)):
+        raise ValueError("chart jacobian must be positive and finite on the grid")
+
+    if total_measure is None:
+        total_measure = float(weights.sum())
+    if diameter is None:
+        from scipy.spatial.distance import pdist
+
+        probe = nodes[:: max(1, len(nodes) // 512)]
+        diameter = float(pdist(probe).max()) if len(probe) > 1 else 1.0
+    if stretch is None:
+        probe = _grid([np.linspace(lo, hi, 17) for lo, hi in bounds])
+        stretch = []
+        for k, (lo, hi) in enumerate(bounds):
+            dp = np.zeros_like(probe)
+            step = (hi - lo) * 1e-4
+            dp[:, k] = step
+            diff = np.linalg.norm(chart(probe + dp) - chart(probe - dp), axis=1)
+            stretch.append(float((diff / (2 * step)).max()))
+
+    return CompactSet(
+        ambient_dim=int(ambient_dim),
+        hausdorff_dim=len(bounds),
+        total_measure=total_measure,
+        diameter=diameter,
+        nodes=nodes,
+        weights=weights,
+        retract=retract,
+        tangent_project=tangent_project,
+        chart=chart,
+        chart_jacobian=jacobian,
+        param_bounds=bounds,
+        periodic=tuple(periodic),
+        chart_stretch=tuple(stretch),
+        kind=kind,
+        params=params,
+    )
+
+
+def make_interval(a: float, b: float) -> CompactSet:
+    """The interval [a, b] in R^1, charted by the identity."""
     a, b = float(a), float(b)
     if a >= b:
         raise ValueError("interval requires a < b")
-    _check_counts(n_quad)
-    x, w = np.polynomial.legendre.leggauss(int(n_quad))
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    nodes = (mid + half * x)[:, None]
-    weights = half * w
 
     def retract(pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -116,51 +207,32 @@ def make_interval(a: float, b: float, n_quad: int = 256) -> CompactSet:
     def tangent_project(pts, vecs):
         return np.array(vecs, dtype=float, copy=True)
 
-    return CompactSet(
-        ambient_dim=1,
-        hausdorff_dim=1,
-        total_measure=b - a,
-        diameter=b - a,
-        nodes=nodes,
-        weights=weights,
-        retract=retract,
-        tangent_project=tangent_project,
+    return _chart_set(
+        "interval", {"a": a, "b": b},
         chart=lambda p: np.asarray(p, dtype=float),
-        chart_jacobian=lambda p: np.ones(len(p)),
-        param_bounds=((a, b),),
-        kind="interval",
-        params={"a": a, "b": b, "n_quad": int(n_quad)},
+        jacobian=lambda p: np.ones(len(p)),
+        bounds=((a, b),), counts=_INTERVAL_NODES, periodic=(False,),
+        retract=retract, tangent_project=tangent_project, ambient_dim=1,
+        total_measure=b - a, diameter=b - a, stretch=(1.0,),
     )
 
 
-def _sphere_chart(radius):
+def make_sphere(radius: float = 1.0) -> CompactSet:
+    """Round sphere of the given radius, charted by (z = cos theta, phi).
+
+    The chart's area element is the constant radius^2.  Its stretch
+    along z, radius / sqrt(1 - z^2), is unbounded at the poles, so the
+    covering mesh is built in rings instead of on the chart grid.
+    """
+    radius = float(radius)
+    if radius <= 0:
+        raise ValueError("sphere radius must be positive")
+
     def chart(p):
         p = np.asarray(p, dtype=float)
         z = p[:, 0]
         rho = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
         return radius * np.stack([rho * np.cos(p[:, 1]), rho * np.sin(p[:, 1]), z], axis=1)
-
-    return chart
-
-
-def make_sphere(radius: float = 1.0, n_theta: int = 96, n_phi: int = 192) -> CompactSet:
-    """Round sphere of the given radius, quadrature in (cos theta, phi).
-
-    Gauss-Legendre in z = cos(theta) crossed with the uniform trapezoid
-    rule in phi (exact for the periodic direction), scaled by radius^2.
-    """
-    radius = float(radius)
-    if radius <= 0:
-        raise ValueError("sphere radius must be positive")
-    _check_counts(n_theta, n_phi)
-    z, wz = np.polynomial.legendre.leggauss(int(n_theta))
-    phi = np.arange(int(n_phi)) * (2.0 * np.pi / int(n_phi))
-    wphi = 2.0 * np.pi / int(n_phi)
-    Z, PHI = np.meshgrid(z, phi, indexing="ij")
-    P = np.stack([Z.ravel(), PHI.ravel()], axis=1)
-    chart = _sphere_chart(radius)
-    nodes = chart(P)
-    weights = (radius * radius * wphi) * np.repeat(wz, int(n_phi))
 
     def retract(pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -175,24 +247,29 @@ def make_sphere(radius: float = 1.0, n_theta: int = 96, n_phi: int = 192) -> Com
         normal = pts / np.linalg.norm(pts, axis=1, keepdims=True)
         return vecs - np.sum(vecs * normal, axis=1, keepdims=True) * normal
 
-    return CompactSet(
-        ambient_dim=3,
-        hausdorff_dim=2,
-        total_measure=4.0 * np.pi * radius * radius,
-        diameter=2.0 * radius,
-        nodes=nodes,
-        weights=weights,
-        retract=retract,
-        tangent_project=tangent_project,
-        chart=chart,
-        chart_jacobian=lambda p: np.full(len(p), radius * radius),
-        param_bounds=((-1.0, 1.0), (0.0, 2.0 * np.pi)),
-        kind="sphere",
-        params={"radius": radius, "n_theta": int(n_theta), "n_phi": int(n_phi)},
+    return _chart_set(
+        "sphere", {"radius": radius},
+        chart=chart, jacobian=lambda p: np.full(len(p), radius * radius),
+        bounds=((-1.0, 1.0), (0.0, 2.0 * np.pi)), counts=_SPHERE_NODES,
+        periodic=(False, True), retract=retract, tangent_project=tangent_project,
+        ambient_dim=3, total_measure=4.0 * np.pi * radius * radius,
+        diameter=2.0 * radius, stretch=(math.inf, radius),
     )
 
 
-def _torus_maps(big_r, tube_c):
+def make_torus(r_inner: float, r_outer: float) -> CompactSet:
+    """Embedded torus with inner radius r_inner and outer radius r_outer.
+
+    Center-circle radius R = (r_outer + r_inner)/2, tube radius
+    c = (r_outer - r_inner)/2, charted by the two angles (u, v), both
+    periodic, with area element c*(R + c*cos v) du dv.
+    """
+    r_inner, r_outer = float(r_inner), float(r_outer)
+    if not 0 < r_inner < r_outer:
+        raise ValueError("torus requires 0 < r_inner < r_outer")
+    big_r = 0.5 * (r_outer + r_inner)
+    tube_c = 0.5 * (r_outer - r_inner)
+
     def chart(p):
         p = np.asarray(p, dtype=float)
         u, v = p[:, 0], p[:, 1]
@@ -203,16 +280,20 @@ def _torus_maps(big_r, tube_c):
         p = np.asarray(p, dtype=float)
         return tube_c * (big_r + tube_c * np.cos(p[:, 1]))
 
-    def retract(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float)).copy()
+    def centre_circle(pts):
+        # nearest points of the center circle to points off the symmetry axis
         rho = np.hypot(pts[:, 0], pts[:, 1])
-        # points on the symmetry axis have no unique angle; pick u = 0
-        on_axis = rho < 1e-300
-        pts[on_axis, 0], rho[on_axis] = 1.0, 1.0
         ring = pts.copy()
         ring[:, 0] *= big_r / rho
         ring[:, 1] *= big_r / rho
         ring[:, 2] = 0.0
+        return ring
+
+    def retract(pts):
+        pts = np.atleast_2d(np.asarray(pts, dtype=float)).copy()
+        # points on the symmetry axis have no unique angle; pick u = 0
+        pts[np.hypot(pts[:, 0], pts[:, 1]) < 1e-300, 0] = 1.0
+        ring = centre_circle(pts)
         rel = pts - ring
         dist = np.linalg.norm(rel, axis=1)
         degenerate = dist < 1e-300
@@ -224,52 +305,16 @@ def _torus_maps(big_r, tube_c):
     def tangent_project(pts, vecs):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         vecs = np.atleast_2d(np.asarray(vecs, dtype=float))
-        rho = np.hypot(pts[:, 0], pts[:, 1])
-        ring = pts.copy()
-        ring[:, 0] *= big_r / rho
-        ring[:, 1] *= big_r / rho
-        ring[:, 2] = 0.0
-        normal = (pts - ring) / tube_c
+        normal = (pts - centre_circle(pts)) / tube_c
         return vecs - np.sum(vecs * normal, axis=1, keepdims=True) * normal
 
-    return chart, jacobian, retract, tangent_project
-
-
-def make_torus(r_inner: float, r_outer: float, n_u: int = 128, n_v: int = 128) -> CompactSet:
-    """Embedded torus with inner radius r_inner and outer radius r_outer.
-
-    Center-circle radius R = (r_outer + r_inner)/2, tube radius
-    c = (r_outer - r_inner)/2, area element c*(R + c*cos v) du dv on the
-    uniform periodic product grid.
-    """
-    r_inner, r_outer = float(r_inner), float(r_outer)
-    if not 0 < r_inner < r_outer:
-        raise ValueError("torus requires 0 < r_inner < r_outer")
-    _check_counts(n_u, n_v)
-    big_r = 0.5 * (r_outer + r_inner)
-    tube_c = 0.5 * (r_outer - r_inner)
-    u = np.arange(int(n_u)) * (2.0 * np.pi / int(n_u))
-    v = np.arange(int(n_v)) * (2.0 * np.pi / int(n_v))
-    U, V = np.meshgrid(u, v, indexing="ij")
-    P = np.stack([U.ravel(), V.ravel()], axis=1)
-    chart, jacobian, retract, tangent_project = _torus_maps(big_r, tube_c)
-    nodes = chart(P)
-    weights = (2.0 * np.pi / int(n_u)) * (2.0 * np.pi / int(n_v)) * jacobian(P)
-
-    return CompactSet(
-        ambient_dim=3,
-        hausdorff_dim=2,
-        total_measure=4.0 * np.pi ** 2 * big_r * tube_c,
-        diameter=2.0 * r_outer,
-        nodes=nodes,
-        weights=weights,
-        retract=retract,
-        tangent_project=tangent_project,
-        chart=chart,
-        chart_jacobian=jacobian,
-        param_bounds=((0.0, 2.0 * np.pi), (0.0, 2.0 * np.pi)),
-        kind="torus",
-        params={"r_inner": r_inner, "r_outer": r_outer, "n_u": int(n_u), "n_v": int(n_v)},
+    return _chart_set(
+        "torus", {"r_inner": r_inner, "r_outer": r_outer},
+        chart=chart, jacobian=jacobian,
+        bounds=((0.0, 2.0 * np.pi), (0.0, 2.0 * np.pi)), counts=_TORUS_NODES,
+        periodic=(True, True), retract=retract, tangent_project=tangent_project,
+        ambient_dim=3, total_measure=4.0 * np.pi ** 2 * big_r * tube_c,
+        diameter=2.0 * r_outer, stretch=(big_r + tube_c, tube_c),
     )
 
 
@@ -288,56 +333,20 @@ def make_param_set(
     Quadrature is product Gauss-Legendre with ``n_quad`` nodes per axis
     weighted by ``chart_jacobian``.  Validation is limited to the
     weight-sum sanity of the resulting rule; smoothness of the chart is
-    trusted.  Tangent projection defaults to a basis from central
+    trusted.  Total measure, diameter and chart stretch are estimated
+    from the chart.  Tangent projection defaults to a basis from central
     differences of ``retract`` along the ambient axes; supply an
     analytic one when available.
     """
-    param_bounds = tuple((float(lo), float(hi)) for lo, hi in param_bounds)
     dim = len(param_bounds)
     counts = [int(c) for c in (n_quad if np.iterable(n_quad) else [n_quad] * dim)]
-    if len(counts) != dim:
-        raise ValueError("one node count per parameter axis required")
-    _check_counts(*counts)
-    axes, axws = [], []
-    for (lo, hi), c in zip(param_bounds, counts):
-        x, w = np.polynomial.legendre.leggauss(c)
-        axes.append(0.5 * (lo + hi) + 0.5 * (hi - lo) * x)
-        axws.append(0.5 * (hi - lo) * w)
-    grids = np.meshgrid(*axes, indexing="ij")
-    P = np.stack([g.ravel() for g in grids], axis=1)
-    wgrid = axws[0]
-    for w in axws[1:]:
-        wgrid = np.outer(wgrid, w).ravel()
-    nodes = np.asarray(chart(P), dtype=float)
-    if nodes.shape != (len(P), ambient_dim):
-        raise ValueError("chart must map (n, param_dim) to (n, ambient_dim)")
-    weights = wgrid * np.asarray(chart_jacobian(P), dtype=float)
-    if np.any(weights <= 0) or not np.all(np.isfinite(weights)):
-        raise ValueError("chart jacobian must be positive and finite on the grid")
-
     if tangent_project is None:
         tangent_project = _numeric_tangent_project(param_bounds, retract)
-
-    total = float(weights.sum())
-    from scipy.spatial.distance import pdist
-
-    probe = nodes[:: max(1, len(nodes) // 512)]
-    diameter = float(pdist(probe).max()) if len(probe) > 1 else 1.0
-
-    return CompactSet(
-        ambient_dim=int(ambient_dim),
-        hausdorff_dim=dim,
-        total_measure=total,
-        diameter=diameter,
-        nodes=nodes,
-        weights=weights,
-        retract=retract,
-        tangent_project=tangent_project,
-        chart=chart,
-        chart_jacobian=chart_jacobian,
-        param_bounds=param_bounds,
-        kind="param",
-        params={"name": name or "anonymous", "n_quad": counts},
+    return _chart_set(
+        "param", {"name": name or "anonymous", "n_quad": counts},
+        chart=chart, jacobian=chart_jacobian, bounds=param_bounds, counts=counts,
+        periodic=(False,) * dim, retract=retract, tangent_project=tangent_project,
+        ambient_dim=ambient_dim,
     )
 
 
@@ -388,7 +397,7 @@ def set_from_descriptor(desc: dict) -> CompactSet:
 
 def covering_mesh(cset: CompactSet, fill_distance: float) -> np.ndarray:
     """Points on A leaving no point of A farther than ``fill_distance``
-    (on user charts only as far as a probed chart stretch tells).
+    (on user charts only as far as the probed chart stretch tells).
 
     The mesh is what covering-radius diagnostics max over; its fill
     distance is the resolution error bar attached to those numbers.  A
@@ -397,11 +406,6 @@ def covering_mesh(cset: CompactSet, fill_distance: float) -> np.ndarray:
     h = float(fill_distance)
     if not 0 < h < cset.diameter:
         raise ValueError("fill_distance must lie in (0, diameter)")
-    if cset.kind == "interval":
-        (a, b), = cset.param_bounds
-        n = int(math.ceil((b - a) / h)) + 1
-        _check_budget(n, h)
-        return np.linspace(a, b, n)[:, None]
     if cset.kind == "sphere":
         radius = cset.params["radius"]
         n_rings = max(2, int(math.ceil(np.pi * radius / h)) + 1)
@@ -419,37 +423,17 @@ def covering_mesh(cset: CompactSet, fill_distance: float) -> np.ndarray:
                 )
             )
         return np.vstack(pts)
-    if cset.kind == "torus":
-        big_r = 0.5 * (cset.params["r_outer"] + cset.params["r_inner"])
-        tube_c = 0.5 * (cset.params["r_outer"] - cset.params["r_inner"])
-        n_u = max(4, int(math.ceil(2.0 * np.pi * (big_r + tube_c) / h)))
-        n_v = max(4, int(math.ceil(2.0 * np.pi * tube_c / h)))
-        _check_budget(float(n_u) * n_v, h)
-        u = np.arange(n_u) * (2.0 * np.pi / n_u)
-        v = np.arange(n_v) * (2.0 * np.pi / n_v)
-        U, V = np.meshgrid(u, v, indexing="ij")
-        P = np.stack([U.ravel(), V.ravel()], axis=1)
-        return cset.chart(P)
-    # generic chart: per-axis stretch estimated from chart differences
-    bounds = cset.param_bounds
-    probe_axes = [np.linspace(lo, hi, 17) for lo, hi in bounds]
-    grids = np.meshgrid(*probe_axes, indexing="ij")
-    P = np.stack([g.ravel() for g in grids], axis=1)
+    # chart grid spaced by the chart stretch: a closed axis keeps both
+    # ends, a periodic one leaves out the seam
     counts = []
-    for k, (lo, hi) in enumerate(bounds):
-        dp = np.zeros((len(P), len(bounds)))
-        step = (hi - lo) * 1e-4
-        dp[:, k] = step
-        stretch = np.linalg.norm(cset.chart(P + dp) - cset.chart(P - dp), axis=1) / (2 * step)
-        counts.append(max(2, int(math.ceil((hi - lo) * float(stretch.max()) / h)) + 1))
-    total = 1.0
-    for c in counts:
-        total *= c
-    _check_budget(total, h)
-    axes = [np.linspace(lo, hi, c) for (lo, hi), c in zip(bounds, counts)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    P = np.stack([g.ravel() for g in grids], axis=1)
-    return cset.chart(P)
+    for (lo, hi), wrap, stretch in zip(cset.param_bounds, cset.periodic, cset.chart_stretch):
+        span = int(math.ceil((hi - lo) * stretch / h))
+        counts.append(max(4, span) if wrap else max(2, span + 1))
+    _check_budget(math.prod(counts), h)
+    return cset.chart(_grid([
+        _seamless(lo, hi, c) if wrap else np.linspace(lo, hi, c)
+        for (lo, hi), wrap, c in zip(cset.param_bounds, cset.periodic, counts)
+    ]))
 
 
 def _check_budget(n: float, fill_distance: float) -> None:

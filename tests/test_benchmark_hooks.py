@@ -13,7 +13,7 @@ import numpy as np
 from rieszfield import diagnostics, optimizer
 from rieszfield.equilibrium import solve_equilibrium
 from rieszfield.fields import ExternalField
-from rieszfield.geometry import make_interval
+from rieszfield.geometry import make_interval, make_sphere, make_torus
 from rieszfield.optimizer import OptimizerSettings, minimize, tau
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -34,6 +34,14 @@ def test_traced_boundaries_exist():
         if not callable(getattr(importlib.import_module(f"rieszfield.{module}"), attr, None))
     ]
     assert missing == []
+
+
+def test_builtin_descriptors_hold_the_checked_keys():
+    # perfbench/checks.py:set_residual reads these keys to measure the
+    # distance of exported points from the set
+    assert make_interval(0.0, 2.0).descriptor() == {"kind": "interval", "a": 0.0, "b": 2.0}
+    assert make_sphere(1.5).descriptor() == {"kind": "sphere", "radius": 1.5}
+    assert make_torus(2.0, 4.0).descriptor() == {"kind": "torus", "r_inner": 2.0, "r_outer": 4.0}
 
 
 def test_traced_parameters_bind_by_name():

@@ -138,6 +138,18 @@ def test_solve_bad_set_kind(tmp_path, capsys):
     assert "bad set descriptor" in capsys.readouterr().err
 
 
+def test_solve_rejects_builtin_node_count(tmp_path, capsys):
+    # the built-in sets fix their quadrature; a node count is an unknown key
+    cfg = _tiny_config(
+        tmp_path,
+        set={"kind": "sphere", "radius": 1.0, "n_theta": 48},
+        field={"kind": "catalog", "id": "a"},
+        s=2.0,
+    )
+    assert cli.main(["solve", cfg]) == 2
+    assert "bad set descriptor" in capsys.readouterr().err
+
+
 def test_solve_bad_settings(tmp_path, capsys):
     cfg = _tiny_config(tmp_path, settings={"max_iters": 60, "armijo_c": 0.9})
     assert cli.main(["solve", cfg]) == 2

@@ -15,7 +15,6 @@ from rieszfield.diagnostics import (
     empirical_density,
     energy_ratio,
     mesh_ratio,
-    point_potential,
     region_mesh_ratios,
     separation,
     sublevel_components,
@@ -25,7 +24,7 @@ from rieszfield.diagnostics import (
 from rieszfield.equilibrium import solve_equilibrium
 from rieszfield.fields import ExternalField, catalog
 from rieszfield.geometry import make_interval, make_torus
-from rieszfield.optimizer import Configuration, OptimizerSettings, minimize, tau
+from rieszfield.optimizer import Configuration, OptimizerSettings, minimize
 
 ZERO = ExternalField(lambda X: np.zeros(len(np.atleast_2d(X))), label="zero")
 
@@ -73,17 +72,6 @@ def test_covering_radius_sublevel_filter(interval01):
     assert est.value == pytest.approx(0.2, abs=1e-12)
     with pytest.raises(ValueError, match="sublevel"):
         covering_radius(cfg, mesh=mesh, sublevel=(ramp, -1.0))
-
-
-def test_point_potential(interval01):
-    cfg = _cfg([[0.0], [1.0]], interval01)
-    # midpoint, s=2, no field: 2 / 0.5^2 = 8
-    assert point_potential([0.5], cfg, ZERO, 2.0) == pytest.approx(8.0, rel=1e-14)
-    # at a configuration point the coincidence is excluded
-    assert point_potential([0.0], cfg, ZERO, 2.0) == pytest.approx(1.0, rel=1e-14)
-    one = ExternalField(lambda P: np.ones(len(np.atleast_2d(P))))
-    expect = 8.0 + tau(2.0, 1, 2) / 2.0
-    assert point_potential([0.5], cfg, one, 2.0) == pytest.approx(expect, rel=1e-14)
 
 
 def test_containment_check(interval01):

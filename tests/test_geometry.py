@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from rieszfield.geometry import (
     covering_mesh,
@@ -141,6 +142,8 @@ def test_descriptor_round_trip(interval02, sphere, torus24):
         assert clone.kind == cset.kind
         assert clone.total_measure == pytest.approx(cset.total_measure, rel=1e-13)
         assert clone.diameter == cset.diameter
+        assert np.array_equal(clone.nodes, cset.nodes)
+        assert np.array_equal(clone.weights, cset.weights)
 
 
 def test_param_descriptor_needs_registration():
@@ -183,8 +186,28 @@ def test_covering_mesh_budget_guard(sphere):
     assert peak < 1 << 20
 
 
-def test_covering_mesh_fill_guarantee(sphere, rng):
-    mesh = covering_mesh(sphere, 0.05)
-    probes = sphere.retract(rng.normal(size=(500, 3)))
-    d2 = ((probes[:, None, :] - mesh[None, :, :]) ** 2).sum(-1)
-    assert np.sqrt(d2.min(axis=1)).max() <= 0.05
+@pytest.mark.parametrize("kind", ["sphere", "torus24", "interval02", "torus_chart"])
+def test_covering_mesh_fill_guarantee(kind, sphere, torus24, interval02, rng):
+    if kind == "torus_chart":
+        # the torus as a user chart: closed axes, probed stretch and diameter
+        cset = make_param_set(
+            torus24.chart, torus24.chart_jacobian, torus24.param_bounds, torus24.retract,
+            ambient_dim=3, n_quad=(16, 16),
+        )
+    else:
+        cset = {"sphere": sphere, "torus24": torus24, "interval02": interval02}[kind]
+    mesh = covering_mesh(cset, 0.05)
+    probes = cset.retract(rng.normal(size=(2000, cset.ambient_dim)) * cset.diameter)
+    assert cKDTree(mesh).query(probes)[0].max() <= 0.05
+
+
+@pytest.mark.parametrize("kind", ["interval02", "torus24"])
+def test_builtin_stretch_matches_probe(kind, interval02, torus24):
+    # the exact stretch of a built-in chart spaces its covering mesh; the
+    # user-chart probe of the same chart must find the same values
+    ref = {"interval02": interval02, "torus24": torus24}[kind]
+    probed = make_param_set(
+        ref.chart, ref.chart_jacobian, ref.param_bounds, ref.retract,
+        ambient_dim=ref.ambient_dim, n_quad=[4] * ref.hausdorff_dim,
+    )
+    assert probed.chart_stretch == pytest.approx(ref.chart_stretch, rel=1e-7)
