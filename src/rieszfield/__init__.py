@@ -56,7 +56,6 @@ _EXPORTS = {
     "DiagnosticsReport": "diagnostics",
     "separation": "diagnostics",
     "covering_radius": "diagnostics",
-    "mesh_ratio": "diagnostics",
     "empirical_density": "diagnostics",
     "weak_star_error": "diagnostics",
     "build_report": "diagnostics",

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .geometry import _grid
+
 _W = 640
 _H = 640
 _PAD = 40
@@ -75,7 +77,7 @@ def support_contour(cset, measure) -> np.ndarray:
     dim = len(cset.param_bounds)
     res = _CONTOUR_RES[dim]
     grids = [np.linspace(a, b, res) for a, b in cset.param_bounds]
-    P = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, dim)
+    P = _grid(grids)
     ind = measure.support_indicator(cset.chart(P)).reshape((res,) * dim)
     segs = []
     for ax in range(dim):

@@ -127,18 +127,17 @@ def _solve_measure(cset, fld, s, const):
     return measure
 
 
-def _write_run(out_dir: Path, result, measure, cset, fld, report_dict):
-    """Write the five run artifacts; returns the file manifest."""
+def _write_run(out_dir: Path, result, measure, cset, fld, report_dict, table, eq):
+    """Write the five run artifacts; returns the file manifest.
+
+    ``table`` is the run's empirical density table and ``eq`` the
+    equilibrium density averaged over its bins.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     X = result.config.points
     write_points_csv(X, out_dir / "points.csv")
     write_trace_csv(result.trace, out_dir / "trace.csv")
-    if len(X) >= 16:
-        table = diagnostics.empirical_density(result.config)
-        eq = diagnostics.density_table_average(measure, table)
-        diagnostics.write_density_csv(table, out_dir / "density.csv", eq)
-    else:
-        measure.to_csv(out_dir / "density.csv")  # too few points to bin
+    diagnostics.write_density_csv(table, out_dir / "density.csv", eq)
     scatter_svg(
         out_dir / "scatter.svg",
         project_points(X),
@@ -167,7 +166,9 @@ def _run(cset, fld, s, n, const, settings, out_dir, label, entry=None):
     result = minimize(cset, fld, s, n, settings, measure=measure)
     t_minimize = time.perf_counter()
     report = diagnostics.build_report(result.config, fld, s, measure)
-    comparison = None if entry is None else _compare(entry, fld, measure, result.config, report)
+    table = diagnostics.empirical_density(result.config)
+    eq = diagnostics.density_table_average(measure, table)
+    comparison = None if entry is None else _compare(entry, fld, measure, result.config, report, table, eq)
     t_diagnostics = time.perf_counter()
     d = cset.hausdorff_dim
     report_dict = {
@@ -200,7 +201,7 @@ def _run(cset, fld, s, n, const, settings, out_dir, label, entry=None):
         "diagnostics_s": t_diagnostics - t_minimize,
     }
     report_dict["wall_time_s"] = time.perf_counter() - t0
-    _write_run(Path(out_dir), result, measure, cset, fld, report_dict)
+    _write_run(Path(out_dir), result, measure, cset, fld, report_dict, table, eq)
     print(f"L1 = {measure.l1:.9g}   S(q, A) = {measure.s_value:.9g}")
     print(
         f"N = {n}   energy = {result.energy:.9g}   "
@@ -245,8 +246,9 @@ def _check(published, computed, rel_tol):
     }
 
 
-def _compare(entry, fld, measure, config, report):
-    """The run's numbers against the published windows of ``entry``."""
+def _compare(entry, fld, measure, config, report, table, eq):
+    """The run's numbers against the published windows of ``entry``;
+    ``table`` and ``eq`` are the empirical and equilibrium densities."""
     pub = entry["published"]
     window = pub["separation"]
     checks = {"separation": _check(window["value"], report.separation, window["rel_tol"])}
@@ -266,8 +268,6 @@ def _compare(entry, fld, measure, config, report):
             "within": bool(qmax < level),
         }
     if "histogram_sup_dev" in pub:
-        table = diagnostics.empirical_density(config)
-        eq = diagnostics.density_table_average(measure, table)
         dev = float(np.max(np.abs(table["density"] - eq)))
         checks["histogram_sup_dev"] = {
             "published": pub["histogram_sup_dev"]["value"],
@@ -290,8 +290,6 @@ def cmd_reproduce(args) -> int:
     opts = dict(entry["settings"])
     if args.iters is not None:
         opts["max_iters"] = args.iters
-    if args.restarts is not None:
-        opts["restarts"] = args.restarts
     if args.seed is not None:
         opts["seed"] = args.seed
     settings = _settings_from({k: v for k, v in opts.items() if k != "seed"}, opts.get("seed"))
@@ -380,7 +378,6 @@ def _parser() -> argparse.ArgumentParser:
     pr.add_argument("--out", help="output directory")
     pr.add_argument("--n", type=int, help="override the point count")
     pr.add_argument("--iters", type=int, help="override max iterations")
-    pr.add_argument("--restarts", type=int, help="override restart count")
     pr.add_argument("--seed", type=int, help="override the rng seed")
     pr.set_defaults(fn=cmd_reproduce)
 

@@ -27,7 +27,6 @@ __all__ = [
     "CoveringEstimate",
     "separation",
     "covering_radius",
-    "mesh_ratio",
     "containment_check",
     "empirical_density",
     "density_table_average",
@@ -52,35 +51,26 @@ class CoveringEstimate(NamedTuple):
     fill: float  # mesh fill distance: the resolution error bar
 
 
-def _filter_mesh(mesh_points, sublevel):
-    if sublevel is None:
-        return mesh_points
-    fld, threshold = sublevel
-    qv = np.asarray(fld.evaluate(mesh_points), dtype=float)
+def _filter_mesh(mesh_points, qv, threshold):
+    # the mesh points of the sublevel set {q <= threshold}, given the
+    # field values qv on the mesh
     kept = mesh_points[qv <= threshold]
     if len(kept) == 0:
         raise ValueError("sublevel filter removed every mesh point")
     return kept
 
 
-def covering_radius(config: Configuration, mesh=None, sublevel=None) -> CoveringEstimate:
-    """Largest distance from a (filtered) mesh point to the configuration.
+def covering_radius(config: Configuration, mesh=None) -> CoveringEstimate:
+    """Largest distance from a mesh point to the configuration.
 
     ``mesh`` is (points, fill) as returned by CompactSet.mesh(); omitted,
-    the set's default mesh is used.  ``sublevel`` = (field, threshold)
-    restricts the mesh to the sublevel set {q <= threshold}.
+    the set's default mesh is used.
     """
     if mesh is None:
         mesh = config.cset.mesh()
     pts, fill = mesh
-    pts = _filter_mesh(pts, sublevel)
     dists, _ = cKDTree(config.points).query(pts)
     return CoveringEstimate(float(dists.max()), float(fill))
-
-
-def mesh_ratio(config: Configuration, mesh=None, sublevel=None) -> float:
-    """Covering radius over separation."""
-    return covering_radius(config, mesh, sublevel).value / separation(config)
 
 
 def containment_check(config: Configuration, fld, l1: float) -> float:
@@ -110,8 +100,6 @@ def empirical_density(config: Configuration) -> dict:
     cset = config.cset
     X = config.points
     N = len(X)
-    if N < 16:
-        raise ValueError("empirical density needs at least 16 points")
     k = math.isqrt(N - 1) + 1
     if cset.kind == "interval":
         (a, b) = cset.param_bounds[0]
@@ -229,7 +217,7 @@ def sublevel_components(cset: CompactSet, mesh, fld, threshold: float) -> tuple[
     """Mesh points of {q <= threshold} and their connected-component
     labels (linking mesh neighbors within 3 fill distances)."""
     pts, fill = mesh
-    kept = _filter_mesh(pts, (fld, threshold))
+    kept = _filter_mesh(pts, np.asarray(fld.evaluate(pts), dtype=float), threshold)
     pairs = cKDTree(kept).query_pairs(3.0 * fill, output_type="ndarray")
     n = len(kept)
     adj = sparse.coo_matrix(
@@ -241,26 +229,30 @@ def sublevel_components(cset: CompactSet, mesh, fld, threshold: float) -> tuple[
 
 def region_mesh_ratios(config: Configuration, fld, l1: float, sep: float, mesh) -> dict:
     """Covering radius of each region of the occupied sublevel set over
-    the separation ``sep``, pooled into "mid" (the equatorial band) and
-    "polar" (the caps); built for catalog field a on the sphere.
+    the separation ``sep``, split into "mid" (the equatorial band) and
+    "polar" (the two bands toward the poles); built for catalog field a
+    on the sphere.
 
     The occupied sublevel is {q <= max_i q(x_i)}, capped at l1: the
     limit density vanishes toward the support boundary, so covering
     against the full support is dominated by the empty low-density
-    collar rather than by the point pattern.  ``mesh`` is (points, fill)
-    as from CompactSet.mesh(); a region without points or mesh points
-    is nan.
+    collar rather than by the point pattern.  Field a, T3(z)^16, takes
+    its maximum 1 at |z| = 1/2 and l1 < 1, so no mesh point of the
+    sublevel lies at |z| = 1/2: its mesh points split into the regions by
+    |z| > 1/2, and each configuration point belongs to the region of its
+    nearest one.  ``mesh`` is (points, fill) as from CompactSet.mesh(); a
+    region without points or mesh points is nan.
     """
     X = config.points
     level = min(float(np.asarray(fld.evaluate(X), dtype=float).max()), l1)
-    kept, labels = sublevel_components(config.cset, mesh, fld, level)
-    means = np.array([abs(kept[labels == k][:, 2].mean()) for k in range(int(labels.max()) + 1)])
-    polar = means > 0.5
-    own = labels[cKDTree(kept).query(X)[1]]
+    mesh_pts = mesh[0]
+    kept = _filter_mesh(mesh_pts, np.asarray(fld.evaluate(mesh_pts), dtype=float), level)
+    polar = np.abs(kept[:, 2]) > 0.5
+    own = polar[cKDTree(kept).query(X)[1]]
     out = {}
-    for name, mask_lab in (("mid", ~polar), ("polar", polar)):
-        pts = X[mask_lab[own]]
-        region = kept[mask_lab[labels]]
+    for name, in_mesh, in_config in (("mid", ~polar, ~own), ("polar", polar, own)):
+        pts = X[in_config]
+        region = kept[in_mesh]
         if not len(pts) or not len(region):
             out[name] = float("nan")
             continue
@@ -292,25 +284,24 @@ def build_report(
     fld,
     s: float,
     measure,
-    sublevel_h: float | None = None,
 ) -> DiagnosticsReport:
     """Assemble the quality report of a configuration.
 
     Separation, covering radius and mesh ratio on the set's default
     mesh (CompactSet.mesh()), E/tau, S(q, A), the weak* errors of the
     coordinates and their squares, and the containment margin.  The
-    covering radius is taken over the sublevel set {q <= L1 - h}, h
-    defaulting to 5% of L1 minus the smallest finite q on the mesh
-    (minimizers only fill that region asymptotically); sublevel_h <= 0
-    covers the whole mesh.
+    covering radius is taken over the mesh points of the sublevel set
+    {q <= L1 - h}, h = 5% of L1 minus the smallest finite q on the mesh
+    (minimizers only fill that region asymptotically); when h <= 0 (no
+    mesh point lies inside the support) the whole mesh counts.
     """
-    mesh = config.cset.mesh()
-    qmesh = np.asarray(fld.evaluate(mesh[0]), dtype=float)
+    pts, fill = config.cset.mesh()
+    qmesh = np.asarray(fld.evaluate(pts), dtype=float)
     qmin = float(qmesh[np.isfinite(qmesh)].min())
-    if sublevel_h is None:
-        sublevel_h = 0.05 * (measure.l1 - qmin)
-    sub = (fld, measure.l1 - sublevel_h) if sublevel_h > 0 else None
-    cov = covering_radius(config, mesh, sub)
+    h = 0.05 * (measure.l1 - qmin)
+    if h > 0:
+        pts = _filter_mesh(pts, qmesh, measure.l1 - h)
+    cov = covering_radius(config, (pts, fill))
     sep = separation(config)
     return DiagnosticsReport(
         separation=sep,

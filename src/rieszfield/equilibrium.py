@@ -30,14 +30,12 @@ locations as ``breaks`` so they sit on cell edges from the start).
 
 from __future__ import annotations
 
-import csv
-import itertools
 from typing import Callable
 
 import numpy as np
 
 from .constants import RieszConstant, m_constant, riesz_constant
-from .geometry import CompactSet
+from .geometry import CompactSet, _grid
 
 __all__ = [
     "EquilibriumError",
@@ -80,14 +78,9 @@ def _level_density(q, L, M, e):
     return np.power(g, e, out=g)
 
 
-def _product_index(*sizes):
-    # (prod(sizes), len(sizes)) table of every index tuple, last axis fastest
-    return np.array(list(itertools.product(*map(range, sizes))))
-
-
 def _tensor(bounds):
     # bounds: (m, dim, 2) -> nodes (m, k, dim), weights (m, k), k = 3^dim
-    idx = _product_index(*(3,) * bounds.shape[1])
+    idx = _grid([np.arange(3)] * bounds.shape[1])
     mid = 0.5 * (bounds[:, None, :, 0] + bounds[:, None, :, 1])
     half = 0.5 * (bounds[:, None, :, 1] - bounds[:, None, :, 0])
     return mid + half * _GL3_X[idx], np.prod(half * _GL3_W[idx], axis=2)
@@ -96,7 +89,7 @@ def _tensor(bounds):
 def _vertices(bounds):
     # bounds: (m, dim, 2) -> cell corners (m, 2^dim, dim)
     dim = bounds.shape[1]
-    return bounds[:, np.arange(dim), _product_index(*(2,) * dim)]
+    return bounds[:, np.arange(dim), _grid([np.arange(2)] * dim)]
 
 
 def _split(bounds, ax):
@@ -119,24 +112,22 @@ class _Cells:
     split-compare error estimate.
     """
 
-    def __init__(self, cset: CompactSet, evalfn: Callable, breaks=None, n0=None):
+    def __init__(self, cset: CompactSet, evalfn: Callable, breaks=None):
         self.cset = cset
         self.evalfn = evalfn
         self.dim = len(cset.param_bounds)
         self.k = 3 ** self.dim
         self.n_eval = 0
         edges = []
-        n0 = n0 or _CELLS_PER_AXIS[self.dim]
-        if not np.iterable(n0):
-            n0 = (n0,) * self.dim
-        for axis, ((lo, hi), n_ax) in enumerate(zip(cset.param_bounds, n0)):
-            e = np.linspace(lo, hi, int(n_ax) + 1)
+        n_ax = _CELLS_PER_AXIS[self.dim]
+        for axis, (lo, hi) in enumerate(cset.param_bounds):
+            e = np.linspace(lo, hi, n_ax + 1)
             for brk in (breaks or {}).get(axis, ()):  # pin known kinks to cell edges
                 if lo < brk < hi and np.abs(e - brk).min() > 1e-9 * (hi - lo):
                     e = np.sort(np.append(e, brk))
             edges.append(np.stack([e[:-1], e[1:]], axis=1))
         # every combination of per-axis intervals
-        idx = _product_index(*map(len, edges))
+        idx = _grid([np.arange(len(e)) for e in edges])
         bounds = np.stack([e[idx[:, axis]] for axis, e in enumerate(edges)], axis=1)
         P, w = _tensor(bounds)
         q = self._eval(P.reshape(-1, self.dim)).reshape(w.shape)
@@ -307,7 +298,7 @@ class EquilibriumMeasure:
     ``density`` and ``support_indicator`` are maps over ambient points;
     ``s_value`` is the first-order energy limit S(q, A).  The adaptive
     quadrature rule the equation was solved on is kept internally for
-    integrals against the measure and for table export.
+    integrals against the measure.
     """
 
     def __init__(self, cset, field, s, m_sd, l1, rule_w, rule_q, rule_P, info):
@@ -353,18 +344,6 @@ class EquilibriumMeasure:
         vals = np.where(self._g > 0, (self.l1 + ratio * np.where(np.isfinite(self._q), self._q, 0.0)) / (1.0 + ratio), 0.0)
         return float(np.dot(self._w * self._g, vals))
 
-    def to_csv(self, path) -> None:
-        """Density table: node coordinates, weight, q, density."""
-        p = self._X.shape[1]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"x{i + 1}" for i in range(p)] + ["weight", "q", "density"])
-            for row_x, w, q, g in zip(self._X, self._w, self._q, self._g):
-                writer.writerow(
-                    [f"{c:.17g}" for c in row_x]
-                    + [f"{w:.17g}", f"{q:.17g}" if np.isfinite(q) else "inf", f"{g:.17g}"]
-                )
-
 
 def solve_equilibrium(
     cset: CompactSet,
@@ -372,7 +351,6 @@ def solve_equilibrium(
     s: float,
     c_sd: RieszConstant | None = None,
     tol: float = 1e-9,
-    n0=None,
     budget: int = _NODE_BUDGET,
 ) -> EquilibriumMeasure:
     """Solve the mass equation for L1 and return the full measure.
@@ -381,10 +359,10 @@ def solve_equilibrium(
     ``breaks`` attribute ({axis: parameter values}) pins known kinks of
     q to quadrature cell edges.  ``tol`` bounds the rule's own error
     estimate for the total mass integral; refinement also stops once
-    the rule has ``budget`` child nodes.  ``n0`` sets the initial cells
-    per axis (32 on curves, 24 x 24 on surfaces by default).  The
-    measure's ``solver_info`` holds the rounds, cells, nodes, error
-    estimate and field evaluations of the final rule, the passes of the
+    the rule has ``budget`` child nodes, starting from 32 cells on
+    curves and 24 x 24 on surfaces.  The measure's ``solver_info`` holds
+    the rounds, cells, nodes, error estimate and field evaluations of
+    the final rule, the passes of the
     mass sum over the whole solve (``mass_evaluations``), and
     ``stop_reason``: ``tol``, ``budget`` or ``max_rounds``.  ``tol`` also
     needs L1 settled: last round's L1 must solve this round's mass
@@ -422,7 +400,7 @@ def solve_equilibrium(
         straddle = (qmin < L) & (L < qmax) & (hidden > 0.25 * tol / len(qmin))
         return _level_density(cells.q, L, M, e), _level_density(cells.cq, L, M, e), straddle, settled
 
-    cells = _Cells(cset, field.evaluate, breaks=getattr(field, "breaks", None), n0=n0)
+    cells = _Cells(cset, field.evaluate, breaks=getattr(field, "breaks", None))
     info = _refine(cells, integrand, tol, budget) | {"mass_evaluations": passes}
     return EquilibriumMeasure(
         cset, field, s, M, L,

@@ -85,24 +85,17 @@ class CompactSet:
     params: dict = field(default_factory=dict)
     _mesh_cache: tuple | None = field(default=None, repr=False)
 
-    def integrate(self, fn: Callable[[np.ndarray], np.ndarray]) -> float:
-        """Quadrature of a pointwise function over the set."""
-        return float(np.dot(self.weights, fn(self.nodes)))
-
-    def mesh(self, fill_distance: float | None = None):
+    def mesh(self):
         """Dense point sample of A for covering-radius evaluation.
 
         Returns (points, fill) where ``fill`` is the declared fill
-        distance.  The default fill is 2e-4 * diameter for curves and
-        2e-3 * diameter for surfaces; the result is cached per set.
+        distance: 2e-4 * diameter for curves and 2e-3 * diameter for
+        surfaces.  The result is cached per set; ``covering_mesh`` builds
+        a mesh of any other fill.
         """
-        if fill_distance is None:
-            scale = 2e-4 if self.hausdorff_dim == 1 else 2e-3
-            fill_distance = scale * self.diameter
-        if self._mesh_cache is not None and self._mesh_cache[1] == fill_distance:
-            return self._mesh_cache
-        pts = covering_mesh(self, fill_distance)
-        self._mesh_cache = (pts, fill_distance)
+        if self._mesh_cache is None:
+            fill = (2e-4 if self.hausdorff_dim == 1 else 2e-3) * self.diameter
+            self._mesh_cache = (covering_mesh(self, fill), fill)
         return self._mesh_cache
 
     def descriptor(self) -> dict:
@@ -132,8 +125,13 @@ def _chart_set(
     one, times the chart jacobian.  Left out, the total measure is the
     rule's sum, the diameter the widest pair of about 512 nodes, and the
     chart stretch a central-difference probe on a 17-point grid per axis.
+    A chart has one or two axes: the equilibrium solver's initial cells
+    and the scatter plot's support contour exist for curves and surfaces
+    only.
     """
     bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
+    if len(bounds) not in (1, 2):
+        raise ValueError(f"a chart needs 1 or 2 parameter axes, got {len(bounds)}")
     if len(counts) != len(bounds):
         raise ValueError("one node count per parameter axis required")
     if min(counts) < 2:

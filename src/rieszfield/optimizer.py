@@ -70,9 +70,6 @@ class Configuration:
     def n(self) -> int:
         return len(self.points)
 
-    def retraction_residual(self) -> float:
-        return float(np.linalg.norm(self.points - self.cset.retract(self.points), axis=1).max())
-
 
 @dataclass
 class OptimizerSettings:

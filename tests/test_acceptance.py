@@ -251,10 +251,11 @@ def test_criterion_7_structural_properties(interval01, interval02, sphere, torus
         # measured on the 5%-interior sublevel (the report default):
         # against the full support the rim gap where the density
         # vanishes dominates and decays slower than 1/N.
-        mesh = interval02.mesh()
+        mesh_pts, fill = interval02.mesh()
         fld_e = catalog("e")
-        qmin = float(np.min(np.asarray(fld_e.evaluate(mesh[0]), dtype=float)))
-        level = measure_e.l1 - 0.05 * (measure_e.l1 - qmin)
+        q_mesh = np.asarray(fld_e.evaluate(mesh_pts), dtype=float)
+        level = measure_e.l1 - 0.05 * (measure_e.l1 - float(np.min(q_mesh)))
+        interior = (mesh_pts[q_mesh <= level], fill)
         sep_n, cov_n = {}, {}
         for n in (50, 100, 200, 400):
             res = minimize(
@@ -263,7 +264,7 @@ def test_criterion_7_structural_properties(interval01, interval02, sphere, torus
                 measure=measure_e,
             )
             sep_n[n] = separation(res.config) * n
-            cov_n[n] = covering_radius(res.config, mesh, sublevel=(fld_e, level)).value * n
+            cov_n[n] = covering_radius(res.config, interior).value * n
         assert max(sep_n.values()) / min(sep_n.values()) <= 2.0, sep_n
         assert max(cov_n.values()) / min(cov_n.values()) <= 2.0, cov_n
 

@@ -6,11 +6,12 @@ would otherwise surface only in the minutes-long benchmark runs."""
 import importlib
 import importlib.util
 import inspect
+import os
 from pathlib import Path
 
 import numpy as np
 
-from rieszfield import diagnostics, optimizer
+from rieszfield import cli, diagnostics, optimizer
 from rieszfield.equilibrium import solve_equilibrium
 from rieszfield.fields import ExternalField
 from rieszfield.geometry import make_interval, make_sphere, make_torus
@@ -47,6 +48,39 @@ def test_builtin_descriptors_hold_the_checked_keys():
 def test_traced_parameters_bind_by_name():
     assert "budget" in inspect.signature(solve_equilibrium).parameters
     assert {"cset", "s", "N", "settings"} <= set(inspect.signature(minimize).parameters)
+    assert OptimizerSettings().grad_tol > 0
+
+
+def test_positional_call_shapes():
+    # perfbench/workloads.py calls sublevel_components(cset, mesh, fld,
+    # threshold) and perfbench/sweep.py covering_radius(config, mesh), both
+    # on the set's default mesh
+    assert list(inspect.signature(diagnostics.sublevel_components).parameters) == [
+        "cset", "mesh", "fld", "threshold"
+    ]
+    cset = make_interval(0.0, 1.0)
+    mesh = cset.mesh()
+    pts, fill = mesh
+    assert pts.shape[1] == 1 and fill > 0
+    ramp = ExternalField(lambda X: np.atleast_2d(X)[:, 0])
+    kept, labels = diagnostics.sublevel_components(cset, mesh, ramp, 0.5)
+    assert len(kept) == len(labels) and kept.max() <= 0.5
+    config = optimizer.Configuration(np.array([[0.0], [1.0]]), cset)
+    assert diagnostics.covering_radius(config, mesh).value == 0.5
+
+
+def test_export_call_shape(tmp_path):
+    # perfbench/tracing.py sizes the export from its first argument, the
+    # output directory, and the file list it returns
+    cset = make_interval(0.0, 1.0)
+    zero = ExternalField(lambda X: np.zeros(len(np.atleast_2d(X))))
+    result = minimize(cset, zero, 2.0, 6, OptimizerSettings(max_iters=5, restarts=1))
+    measure = solve_equilibrium(cset, zero, 2.0)
+    table = diagnostics.empirical_density(result.config)
+    eq = diagnostics.density_table_average(measure, table)
+    out_dir = tmp_path / "run"
+    files = cli._write_run(out_dir, result, measure, cset, zero, {}, table, eq)
+    assert sorted(files) == sorted(os.listdir(out_dir))
 
 
 def test_solver_info_has_traced_keys():

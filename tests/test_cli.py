@@ -198,17 +198,17 @@ def test_design_warns_on_budget_stop(tmp_path, capsys, monkeypatch):
     assert "warning: equilibrium solve stopped on budget" in capsys.readouterr().err
 
 
-def test_solve_small_n_exports_measure_table(tmp_path, validate_report_schema):
-    # below 16 points there is nothing to bin: density.csv is the
-    # equilibrium measure's own table
+def test_solve_small_n_bins_density(tmp_path, validate_report_schema):
+    # density.csv has one format at any N: 8 points in ceil(sqrt(8)) = 3 bins
     out = tmp_path / "run"
     assert cli.main(["solve", _tiny_config(tmp_path, n=8), "--out", str(out)]) == 0
     for name in RUN_FILES:
         assert (out / name).exists(), name
     with open(out / "density.csv") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["x1", "weight", "q", "density"]
-    assert len(rows) > 100
+    assert rows[0] == ["x1", "count", "empirical_density", "equilibrium_density"]
+    assert len(rows) == 4
+    assert sum(int(r[1]) for r in rows[1:]) == 8
     report = json.loads((out / "report.json").read_text())
     validate_report_schema(report)
     assert report["n_points"] == 8
@@ -306,7 +306,6 @@ def test_reproduce_reduced(tmp_path, capsys, validate_report_schema):
     [
         ("--n", "need at least 2 points"),
         ("--iters", "bad optimizer settings"),
-        ("--restarts", "bad optimizer settings"),
     ],
 )
 def test_reproduce_zero_override_rejected(tmp_path, capsys, flag, message):

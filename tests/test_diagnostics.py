@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from rieszfield.diagnostics import (
     DiagnosticsReport,
@@ -14,7 +15,6 @@ from rieszfield.diagnostics import (
     density_table_average,
     empirical_density,
     energy_ratio,
-    mesh_ratio,
     region_mesh_ratios,
     separation,
     sublevel_components,
@@ -23,7 +23,7 @@ from rieszfield.diagnostics import (
 )
 from rieszfield.equilibrium import solve_equilibrium
 from rieszfield.fields import ExternalField, catalog
-from rieszfield.geometry import make_interval, make_torus
+from rieszfield.geometry import covering_mesh, make_interval
 from rieszfield.optimizer import Configuration, OptimizerSettings, minimize
 
 ZERO = ExternalField(lambda X: np.zeros(len(np.atleast_2d(X))), label="zero")
@@ -60,7 +60,6 @@ def test_covering_radius_explicit_mesh(interval01):
     est = covering_radius(cfg, mesh=mesh)
     assert est.value == pytest.approx(0.5, abs=1e-12)
     assert est.fill == 0.01
-    assert mesh_ratio(cfg, mesh=mesh) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_covering_radius_sublevel_filter(interval01):
@@ -68,10 +67,11 @@ def test_covering_radius_sublevel_filter(interval01):
     mesh = (np.linspace(0.0, 1.0, 101)[:, None], 0.01)
     ramp = ExternalField(lambda X: np.atleast_2d(X)[:, 0])
     # keep only {x <= 0.2}: farthest kept mesh point from {0, 1} is x = 0.2
-    est = covering_radius(cfg, mesh=mesh, sublevel=(ramp, 0.2))
+    kept, _ = sublevel_components(interval01, mesh, ramp, 0.2)
+    est = covering_radius(cfg, mesh=(kept, mesh[1]))
     assert est.value == pytest.approx(0.2, abs=1e-12)
     with pytest.raises(ValueError, match="sublevel"):
-        covering_radius(cfg, mesh=mesh, sublevel=(ramp, -1.0))
+        sublevel_components(interval01, mesh, ramp, -1.0)
 
 
 def test_containment_check(interval01):
@@ -98,10 +98,14 @@ def test_empirical_density_interval(interval01):
     assert np.allclose(table["centers"][:, 0], [0.125, 0.375, 0.625, 0.875])
 
 
-def test_empirical_density_needs_points(interval01):
-    pts = np.linspace(0.0, 1.0, 15)[:, None]
-    with pytest.raises(ValueError, match="16"):
-        empirical_density(_cfg(pts, interval01))
+def test_empirical_density_small_n(interval01):
+    # ceil(sqrt(N)) bins hold any N >= 2: 2 points in 2 bins, 15 in 4
+    for n, bins in ((2, 2), (15, 4)):
+        pts = np.linspace(0.0, 1.0, n, endpoint=False)[:, None]
+        table = empirical_density(_cfg(pts, interval01))
+        assert len(table["count"]) == bins
+        assert table["count"].sum() == n
+        assert float(table["density"].sum() / bins) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_empirical_density_sphere(sphere, rng):
@@ -185,7 +189,7 @@ def test_weak_star_error_custom_tests(interval01):
 def test_sublevel_components_three_bands(sphere):
     fld = catalog("a")
     measure = solve_equilibrium(sphere, fld, 2.0)
-    mesh = sphere.mesh(0.04)
+    mesh = (covering_mesh(sphere, 0.04), 0.04)
     kept, labels = sublevel_components(sphere, mesh, fld, measure.l1)
     groups = np.unique(labels)
     assert len(groups) == 3
@@ -195,17 +199,20 @@ def test_sublevel_components_three_bands(sphere):
     assert 0.7 < zmeans[2] < 0.85
 
 
-def test_region_mesh_ratios(sphere, measure_a, rng):
+def _fibonacci(sphere, n, rng):
     # seeded quasi-uniform configuration: a randomly rotated Fibonacci sphere
-    n = 400
     k = np.arange(n) + 0.5
     z = 1.0 - 2.0 * k / n
     phi = k * math.pi * (3.0 - math.sqrt(5.0))
     r = np.sqrt(1.0 - z * z)
     fib = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
     rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-    cfg = _cfg(fib @ rot.T, sphere)
-    fld, mesh, sep = catalog("a"), sphere.mesh(0.04), separation(cfg)
+    return _cfg(fib @ rot.T, sphere)
+
+
+def test_region_mesh_ratios(sphere, measure_a, rng):
+    cfg = _fibonacci(sphere, 400, rng)
+    fld, mesh, sep = catalog("a"), (covering_mesh(sphere, 0.04), 0.04), separation(cfg)
     ratios = region_mesh_ratios(cfg, fld, measure_a.l1, sep, mesh)
     assert set(ratios) == {"mid", "polar"}
     for value in ratios.values():
@@ -213,6 +220,34 @@ def test_region_mesh_ratios(sphere, measure_a, rng):
     halved = region_mesh_ratios(cfg, fld, measure_a.l1, 2.0 * sep, mesh)
     for name in ratios:
         assert halved[name] == pytest.approx(ratios[name] / 2.0, rel=1e-12)
+
+
+def _region_ratios_by_components(cfg, fld, l1, sep, mesh):
+    # reference: label the connected components of the occupied sublevel
+    # mesh, pool them into polar (|mean z| > 1/2) and mid, and give each
+    # point the region of its nearest kept mesh point
+    X = cfg.points
+    level = min(float(np.max(fld.evaluate(X))), l1)
+    kept, labels = sublevel_components(cfg.cset, mesh, fld, level)
+    polar = np.array([abs(kept[labels == k][:, 2].mean()) > 0.5 for k in range(labels.max() + 1)])
+    own = labels[cKDTree(kept).query(X)[1]]
+    out = {}
+    for name, pooled in (("mid", ~polar), ("polar", polar)):
+        pts, region = X[pooled[own]], kept[pooled[labels]]
+        out[name] = float(cKDTree(pts).query(region)[0].max()) / sep
+    return out
+
+
+# at N = 400 the rotations of seeds 1236 and 1239 put points outside the
+# sublevel set whose own |z| falls on the other side of 1/2 from their
+# nearest kept mesh point
+@pytest.mark.parametrize("n, seed", [(200, 1230), (300, 1233), (400, 1234), (400, 1236), (400, 1239)])
+def test_region_mesh_ratios_match_components(sphere, measure_a, n, seed):
+    cfg = _fibonacci(sphere, n, np.random.default_rng(seed))
+    fld, mesh, sep = catalog("a"), (covering_mesh(sphere, 0.04), 0.04), separation(cfg)
+    assert region_mesh_ratios(cfg, fld, measure_a.l1, sep, mesh) == _region_ratios_by_components(
+        cfg, fld, measure_a.l1, sep, mesh
+    )
 
 
 def test_build_report_consistency(interval02, measure_e):
@@ -242,7 +277,22 @@ def test_build_report_consistency(interval02, measure_e):
 def test_build_report_no_filter(interval01):
     measure = solve_equilibrium(interval01, ZERO, 2.0)
     res = minimize(interval01, ZERO, 2.0, 20, OptimizerSettings(restarts=1, max_iters=400))
-    full = build_report(res.config, ZERO, 2.0, measure, sublevel_h=0.0)
+    full = covering_radius(res.config, interval01.mesh())
     # q == 0 everywhere: sublevel filtering must not change the covering
     dflt = build_report(res.config, ZERO, 2.0, measure)
-    assert full.covering_radius == pytest.approx(dflt.covering_radius, rel=1e-12)
+    assert full.value == pytest.approx(dflt.covering_radius, rel=1e-12)
+
+
+def test_build_report_mesh_outside_support(monkeypatch):
+    # a steep ramp confines the measure to a sliver near 0; on a mesh that
+    # misses it (every q above L1) no mesh point lies in the sublevel
+    # set, so the whole mesh counts
+    cset = make_interval(0.0, 1.0)
+    ramp = ExternalField(lambda X: 100.0 * np.atleast_2d(X)[:, 0])
+    measure = solve_equilibrium(cset, ramp, 2.0)
+    mesh = (np.linspace(0.9, 1.0, 11)[:, None], 0.01)
+    assert float(ramp.evaluate(mesh[0]).min()) > measure.l1
+    monkeypatch.setattr(cset, "mesh", lambda: mesh)
+    cfg = _cfg([[0.0], [0.01]], cset)
+    rep = build_report(cfg, ramp, 2.0, measure)
+    assert rep.covering_radius == pytest.approx(0.99, abs=1e-12)

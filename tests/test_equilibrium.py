@@ -1,9 +1,9 @@
-import csv
 import math
 
 import numpy as np
 import pytest
 
+from rieszfield import equilibrium
 from rieszfield.constants import m_constant, zeta
 from rieszfield.equilibrium import (
     EquilibriumError,
@@ -172,9 +172,10 @@ def test_settle_gate_follows_tol(interval02):
     assert rounds == sorted(rounds)
 
 
-def test_grid_insensitivity(interval02):
-    a = solve_equilibrium(interval02, catalog("e"), 4.0, n0=32)
-    b = solve_equilibrium(interval02, catalog("e"), 4.0, n0=64)
+def test_grid_insensitivity(interval02, monkeypatch):
+    a = solve_equilibrium(interval02, catalog("e"), 4.0)
+    monkeypatch.setitem(equilibrium._CELLS_PER_AXIS, 1, 64)
+    b = solve_equilibrium(interval02, catalog("e"), 4.0)
     assert a.l1 == pytest.approx(b.l1, abs=1e-9)
 
 
@@ -232,14 +233,3 @@ def test_integrate_adaptive_torus(torus24):
     rho2 = integrate_adaptive(torus24, lambda X: np.atleast_2d(X)[:, 0] ** 2 + np.atleast_2d(X)[:, 1] ** 2)
     assert rho2 == pytest.approx(4.0 * math.pi**2 * tube_c * (big_r**3 + 1.5 * big_r * tube_c**2), rel=1e-12)
 
-
-def test_csv_emission(tmp_path, measure_e):
-    path = tmp_path / "density.csv"
-    measure_e.to_csv(path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["x1", "weight", "q", "density"]
-    assert len(rows) > 100
-    x, w, q, g = zip(*((float(r[0]), float(r[1]), float(r[2]), float(r[3])) for r in rows[1:]))
-    assert abs(sum(wi * gi for wi, gi in zip(w, g)) - 1.0) < 1e-9
-    assert min(x) >= 0.0 and max(x) <= 2.0
