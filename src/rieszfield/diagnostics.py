@@ -60,14 +60,12 @@ def _filter_mesh(mesh_points, qv, threshold):
     return kept
 
 
-def covering_radius(config: Configuration, mesh=None) -> CoveringEstimate:
+def covering_radius(config: Configuration, mesh) -> CoveringEstimate:
     """Largest distance from a mesh point to the configuration.
 
-    ``mesh`` is (points, fill) as returned by CompactSet.mesh(); omitted,
-    the set's default mesh is used.
+    ``mesh`` is (points, fill) as returned by CompactSet.mesh(), or a
+    subset of its points with the same fill.
     """
-    if mesh is None:
-        mesh = config.cset.mesh()
     pts, fill = mesh
     dists, _ = cKDTree(config.points).query(pts)
     return CoveringEstimate(float(dists.max()), float(fill))

@@ -5,9 +5,11 @@ plus the external-field term (tau/N) * sum q(x), with tau = N^(1+s/d)
 for s > d and N^2 ln N at s = d.  Minimization is multi-start projected
 gradient descent: Armijo backtracking on the energy, retraction to the
 set after every trial step, convergence once the tangential gradient
-norm falls under a scale-aware tolerance.  Deliberately first-order:
-the landscape is nonconvex with O(N^2) terms and verifiability beats
-iteration counts here.
+norm falls under a scale-aware tolerance.  Each trial is one pass over
+the pairs that gives its energy and tangent gradient together, and an
+accepted trial's gradient starts the next iteration.  Deliberately
+first-order: the landscape is nonconvex with O(N^2) terms and
+verifiability beats iteration counts here.
 """
 
 from __future__ import annotations
@@ -122,8 +124,11 @@ def _pair_kernel(X: np.ndarray, s: float | None, gradient: bool = False):
             i1 = min(i0 + rows, n)
             Xr, Xc = X[i0:i1], X[i1:]
             # the pairs within the rows (condensed), then the rows against
-            # every later point
-            for r2, cols in ((pdist(Xr, "sqeuclidean"), None), (cdist(Xr, Xc, "sqeuclidean"), Xc)):
+            # every later point, if any remain
+            blocks = [(pdist(Xr, "sqeuclidean"), None)]
+            if i1 < n:
+                blocks.append((cdist(Xr, Xc, "sqeuclidean"), Xc))
+            for r2, cols in blocks:
                 if r2.size == 0:
                     continue
                 r2min = min(r2min, float(r2.min()))
@@ -146,29 +151,43 @@ def _pair_kernel(X: np.ndarray, s: float | None, gradient: bool = False):
     return total, r2min, G
 
 
+def _objective(X: np.ndarray, cset: CompactSet, fld: ExternalField, s: float, gradient=False):
+    """Energy of the points X and its tangent gradient from one pair pass.
+
+    Returns (E, r2min, G).  E is +inf under the collision guard (r2min
+    below (1e-12 * diameter)^2, exact coincidence r2min == 0 included)
+    and on field poles.  G is None for ``gradient=False``, the tangent
+    gradient for ``True``, and for ``"finite"`` the tangent gradient only
+    when E is finite: a line-search trial of infinite energy is refused
+    anyway, and a field gradient at a pole would be inf - inf.
+    """
+    n = len(X)
+    weight = tau(s, cset.hausdorff_dim, n) / n
+    pair, r2min, G = _pair_kernel(X, s, gradient=bool(gradient))
+    if r2min < (1e-12 * cset.diameter) ** 2:
+        pair = np.inf
+    E = pair + weight * float(np.asarray(fld.evaluate(X), dtype=float).sum())
+    if G is not None:
+        if gradient == "finite" and not np.isfinite(E):
+            G = None
+        else:
+            G += weight * field_gradient(fld, X, cset)
+            G = cset.tangent_project(X, G)
+    return E, r2min, G
+
+
 def energy(config: Configuration, fld: ExternalField, s: float) -> float:
     """E^q of the configuration; +inf is a representable value (points on
     field poles or under the collision guard), exact coincidence raises."""
-    X = config.points
-    d = config.cset.hausdorff_dim
-    n = config.n
-    pair, r2min, _ = _pair_kernel(X, s)
+    E, r2min, _ = _objective(config.points, config.cset, fld, s)
     if r2min == 0.0:
         raise ValueError("coincident points give infinite energy")
-    if r2min < (1e-12 * config.cset.diameter) ** 2:
-        pair = np.inf
-    qv = np.asarray(fld.evaluate(X), dtype=float)
-    return pair + tau(s, d, n) / n * float(qv.sum())
+    return E
 
 
 def energy_gradient(config: Configuration, fld: ExternalField, s: float) -> np.ndarray:
     """Tangent-projected ambient gradient of the energy, one row per point."""
-    X = config.points
-    cset = config.cset
-    n = config.n
-    G = _pair_kernel(X, s, gradient=True)[2]
-    G += tau(s, cset.hausdorff_dim, n) / n * field_gradient(fld, X, cset)
-    return cset.tangent_project(X, G)
+    return _objective(config.points, config.cset, fld, s, gradient=True)[2]
 
 
 def _sample_initial(cset: CompactSet, N: int, rng, mode: str, measure) -> np.ndarray:
@@ -213,23 +232,16 @@ class MinimizeResult:
     grad_norm: float
 
 
-def _trial_energy(cset, fld, s, X):
-    # line-search probe: exact coincidence (e.g. two points clamped to
-    # the same interval endpoint) counts as infinite, not an error
-    try:
-        return energy(Configuration(X, cset), fld, s)
-    except ValueError:
-        return np.inf
-
-
-def _descend(cset, fld, s, X, max_iters, step_init, gtol):
-    E = energy(Configuration(X, cset), fld, s)
+def _descend(cset, fld, s, X, E, G, max_iters, step_init, gtol):
+    # (E, G) belong to X on entry; each trial is one pair pass that gives
+    # its energy and gradient, and an accepted trial's are the next
+    # iteration's.  Exact coincidence in a trial (e.g. two points clamped
+    # to the same interval endpoint) is infinite energy, not an error.
     step = step_init
     rows = []
     converged = False
     gn = np.inf
     for it in range(max_iters):
-        G = energy_gradient(Configuration(X, cset), fld, s)
         gn = float(np.linalg.norm(G))
         rows.append((it, E, gn, step))
         if gn < gtol:
@@ -245,16 +257,16 @@ def _descend(cset, fld, s, X, max_iters, step_init, gtol):
             if dn2 == 0.0:
                 converged = True  # retraction absorbs the whole step
                 break
-            E1 = _trial_energy(cset, fld, s, X1)
+            E1, _, G1 = _objective(X1, cset, fld, s, gradient="finite")
             if np.isfinite(E1) and E - E1 >= _ARMIJO_C * dn2 / step:
-                X, E = X1, E1
+                X, E, G = X1, E1, G1
                 step = min(step * 2.0, 1e6 * step_init)
                 accepted = True
                 break
             step *= _ARMIJO_SHRINK
         if not accepted:
             break  # stationary under projection, or line search exhausted
-    return X, E, np.asarray(rows, dtype=float), converged, gn
+    return X, np.asarray(rows, dtype=float), converged, gn
 
 
 def minimize(
@@ -272,12 +284,16 @@ def minimize(
     density/stratified modes, which need ``measure``).  Each restart
     runs Armijo projected descent from the step diameter * N^(-1-s/d):
     a trial step is halved until the energy falls by 1e-4 * |dx|^2 / step
-    and doubled after each accepted one.  A restart stops when the
+    and doubled after each accepted one.  Each trial is one pair pass that
+    gives its energy and gradient, and an accepted trial's gradient starts
+    the next iteration; the initial sample's pass, which checks that its
+    energy is finite, starts the first.  A restart stops when the
     tangential gradient norm drops below grad_tol * N^(1+s/d) /
     diameter^(s+1), when the retraction absorbs the whole step, when 60
     trials find no decrease, or after max_iters iterations.  The restart
-    with the lowest finite energy is returned; OptimizerFailure is
-    raised when none has one.
+    with the lowest finite energy is returned, its energy from one
+    ``energy`` call on the final points; OptimizerFailure is raised when
+    none has one.
     """
     if N < 2:
         raise ValueError("minimization needs at least two points")
@@ -290,16 +306,17 @@ def minimize(
     traces = []
     for r in range(settings.restarts):
         rng = np.random.default_rng([settings.rng_seed, r])
-        X = None
         for _ in range(100):
             X = _sample_initial(cset, N, rng, settings.init, measure)
-            if np.isfinite(_trial_energy(cset, fld, s, X)):
+            E, _, G = _objective(X, cset, fld, s, gradient="finite")
+            if np.isfinite(E):
                 break
         else:
             traces.append(np.zeros((0, 4)))
             continue
-        X, E, trace, converged, gn = _descend(cset, fld, s, X, settings.max_iters, step_init, gtol)
+        X, trace, converged, gn = _descend(cset, fld, s, X, E, G, settings.max_iters, step_init, gtol)
         traces.append(trace)
+        E = energy(Configuration(X, cset), fld, s)
         if np.isfinite(E) and (best is None or E < best.energy):
             best = MinimizeResult(
                 config=Configuration(cset.retract(X), cset),

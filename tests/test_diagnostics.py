@@ -60,6 +60,8 @@ def test_covering_radius_explicit_mesh(interval01):
     est = covering_radius(cfg, mesh=mesh)
     assert est.value == pytest.approx(0.5, abs=1e-12)
     assert est.fill == 0.01
+    with pytest.raises(TypeError):
+        covering_radius(cfg)  # the mesh is required
 
 
 def test_covering_radius_sublevel_filter(interval01):

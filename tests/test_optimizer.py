@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
+from rieszfield import optimizer
 from rieszfield.fields import ExternalField, catalog
 from rieszfield.geometry import make_interval, make_sphere
 from rieszfield.optimizer import (
     _BLOCK_ENTRIES,
+    _sample_initial,
     Configuration,
     MinimizeResult,
     OptimizerFailure,
@@ -242,10 +244,17 @@ def test_settings_accept_whole_floats():
     assert all(type(v) is int for v in (settings.max_iters, settings.restarts, settings.rng_seed))
 
 
-def test_minimize_failure_on_infinite_field(interval01):
+def test_minimize_failure_on_infinite_field(interval01, monkeypatch):
     bad = ExternalField(lambda X: np.full(len(np.atleast_2d(X)), np.inf))
-    with pytest.raises(OptimizerFailure):
-        minimize(interval01, bad, 2.0, 4, OptimizerSettings(restarts=2, max_iters=10))
+    # a sample of infinite energy gets no field gradient, whose central
+    # differences would be inf - inf
+    calls = []
+    monkeypatch.setattr(optimizer, "field_gradient", lambda *a: calls.append(a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OptimizerFailure):
+            minimize(interval01, bad, 2.0, 4, OptimizerSettings(restarts=2, max_iters=10))
+    assert calls == []
 
 
 def test_more_points_do_not_lower_energy(interval01):
@@ -272,3 +281,111 @@ def test_csv_writers(tmp_path, interval01):
         trows = list(csv.reader(fh))
     assert trows[0] == ["iter", "energy", "grad_norm", "step"]
     assert len(trows) == len(res.trace) + 1
+
+
+def _reference_minimize(cset, fld, s, N, settings):
+    # the descent before each trial returned its gradient: one
+    # energy_gradient per iteration and one energy per trial, with the
+    # same samples, Armijo rule and step doubling as minimize
+    d = cset.hausdorff_dim
+    step_init = cset.diameter * float(N) ** (-1.0 - s / d)
+    gtol = settings.grad_tol * float(N) ** (1.0 + s / d) * cset.diameter ** (-s - 1.0)
+
+    def trial_energy(X):
+        try:
+            return energy(Configuration(X, cset), fld, s)
+        except ValueError:
+            return np.inf
+
+    best = None
+    for r in range(settings.restarts):
+        rng = np.random.default_rng([settings.rng_seed, r])
+        for _ in range(100):
+            X = _sample_initial(cset, N, rng, settings.init, None)
+            if np.isfinite(trial_energy(X)):
+                break
+        else:
+            continue
+        E = trial_energy(X)
+        step, rows = step_init, []
+        for it in range(settings.max_iters):
+            G = energy_gradient(Configuration(X, cset), fld, s)
+            gn = float(np.linalg.norm(G))
+            rows.append((it, E, gn, step))
+            if gn < gtol:
+                break
+            accepted = False
+            for _ in range(60):
+                X1 = cset.retract(X - step * G)
+                dn2 = float(((X - X1) ** 2).sum())
+                if dn2 == 0.0:
+                    break
+                E1 = trial_energy(X1)
+                if np.isfinite(E1) and E - E1 >= 1e-4 * dn2 / step:
+                    X, E = X1, E1
+                    step = min(step * 2.0, 1e6 * step_init)
+                    accepted = True
+                    break
+                step *= 0.5
+            if not accepted:
+                break
+        if np.isfinite(E) and (best is None or E < best[1]):
+            best = (cset.retract(X), E, np.asarray(rows, dtype=float))
+    return best
+
+
+def _pinned_count(points, cset):
+    lo, hi = cset.param_bounds[0]
+    return int(np.sum((points[:, 0] == lo) | (points[:, 0] == hi)))
+
+
+@pytest.mark.parametrize(
+    "kind, field, s, N, settings, pinned",
+    [
+        # N = 700: blocks of _BLOCK_ENTRIES // 700 = 187 rows, so the pair
+        # kernel walks four row blocks
+        ("interval02", "e", 4.0, 700, OptimizerSettings(restarts=1, max_iters=25), False),
+        ("interval01", None, 2.0, 12, OptimizerSettings(restarts=2, max_iters=300), True),
+        ("sphere", "a", 2.0, 60, OptimizerSettings(restarts=2, max_iters=40, rng_seed=5), False),
+        ("torus24", "c", 8.0, 50, OptimizerSettings(restarts=1, max_iters=40), False),
+    ],
+)
+def test_minimize_matches_reference_descent(kind, field, s, N, settings, pinned, request):
+    cset = request.getfixturevalue(kind)
+    fld = ZERO if field is None else catalog(field)
+    res = minimize(cset, fld, s, N, settings)
+    points, E, trace = _reference_minimize(cset, fld, s, N, settings)
+    if pinned:  # the run exercises points held at an interval endpoint
+        assert _pinned_count(points, cset) >= 2
+    assert res.config.points.tobytes() == points.tobytes()
+    assert res.trace.tobytes() == trace.tobytes()
+    assert res.energy == E
+
+
+def test_one_pair_pass_per_trial(monkeypatch):
+    # each trial's pass gives its energy and gradient and an accepted
+    # trial's gradient starts the next iteration; the restart adds the
+    # sample's pass and the final energy call
+    kernel = optimizer._pair_kernel
+    passes = {"pair": 0, "distance": 0}
+
+    def counted_kernel(X, s, gradient=False):
+        passes["distance" if s is None else "pair"] += 1
+        return kernel(X, s, gradient)
+
+    cset = make_sphere()
+    retract = cset.retract
+    retractions = []
+
+    def counted_retract(X):
+        retractions.append(len(X))
+        return retract(X)
+
+    monkeypatch.setattr(optimizer, "_pair_kernel", counted_kernel)
+    monkeypatch.setattr(cset, "retract", counted_retract)
+    res = minimize(cset, catalog("a"), 2.0, 40, OptimizerSettings(restarts=1, max_iters=30))
+    assert len(res.trace) == 30
+    assert passes["distance"] == 1  # one sample, no jitter retractions
+    trials = len(retractions) - 1  # the result's retraction is no trial
+    assert trials >= len(res.trace)
+    assert passes["pair"] == trials + 2
