@@ -254,7 +254,7 @@ def _compare(entry, fld, measure, config, report, table, eq):
     checks = {"separation": _check(window["value"], report.separation, window["rel_tol"])}
     if "mesh_ratio_mid" in pub:
         ratios = diagnostics.region_mesh_ratios(
-            config, fld, measure.l1, report.separation, config.cset.mesh()
+            config, fld, measure.l1, report.separation, config.cset.mesh()[0], report.mesh_values
         )
         for name in ("mid", "polar"):
             window = pub[f"mesh_ratio_{name}"]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -225,7 +225,7 @@ def sublevel_components(cset: CompactSet, mesh, fld, threshold: float) -> tuple[
     return kept, labels
 
 
-def region_mesh_ratios(config: Configuration, fld, l1: float, sep: float, mesh) -> dict:
+def region_mesh_ratios(config: Configuration, fld, l1: float, sep: float, mesh_points, mesh_values) -> dict:
     """Covering radius of each region of the occupied sublevel set over
     the separation ``sep``, split into "mid" (the equatorial band) and
     "polar" (the two bands toward the poles); built for catalog field a
@@ -238,13 +238,13 @@ def region_mesh_ratios(config: Configuration, fld, l1: float, sep: float, mesh) 
     its maximum 1 at |z| = 1/2 and l1 < 1, so no mesh point of the
     sublevel lies at |z| = 1/2: its mesh points split into the regions by
     |z| > 1/2, and each configuration point belongs to the region of its
-    nearest one.  ``mesh`` is (points, fill) as from CompactSet.mesh(); a
-    region without points or mesh points is nan.
+    nearest one.  ``mesh_values`` are the values of ``fld`` at
+    ``mesh_points``, as a report's ``mesh_values`` on the set's default
+    mesh; a region without points or mesh points is nan.
     """
     X = config.points
     level = min(float(np.asarray(fld.evaluate(X), dtype=float).max()), l1)
-    mesh_pts = mesh[0]
-    kept = _filter_mesh(mesh_pts, np.asarray(fld.evaluate(mesh_pts), dtype=float), level)
+    kept = _filter_mesh(mesh_points, mesh_values, level)
     polar = np.abs(kept[:, 2]) > 0.5
     own = polar[cKDTree(kept).query(X)[1]]
     out = {}
@@ -272,9 +272,12 @@ class DiagnosticsReport:
     s_predicted: float
     weak_star_errors: list  # [label, error] pairs
     containment_margin: float
+    # q on the set's default mesh, for callers' further mesh diagnostics;
+    # not part of the report's numbers
+    mesh_values: np.ndarray = field(repr=False)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "mesh_values"}
 
 
 def build_report(
@@ -287,7 +290,8 @@ def build_report(
 
     Separation, covering radius and mesh ratio on the set's default
     mesh (CompactSet.mesh()), E/tau, S(q, A), the weak* errors of the
-    coordinates and their squares, and the containment margin.  The
+    coordinates and their squares, the containment margin, and the
+    field's values on that mesh (``mesh_values``).  The
     covering radius is taken over the mesh points of the sublevel set
     {q <= L1 - h}, h = 5% of L1 minus the smallest finite q on the mesh
     (minimizers only fill that region asymptotically); when h <= 0 (no
@@ -310,4 +314,5 @@ def build_report(
         s_predicted=measure.s_value,
         weak_star_errors=[[label, err] for label, err in weak_star_error(config, measure)],
         containment_margin=containment_check(config, fld, measure.l1),
+        mesh_values=qmesh,
     )

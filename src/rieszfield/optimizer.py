@@ -98,8 +98,11 @@ class OptimizerSettings:
 _ARMIJO_C = 1e-4
 _ARMIJO_SHRINK = 0.5
 
-# Entries per block of squared distances: 2^17 doubles = 1 MiB, so each
-# block array stays inside one core's L2 cache.
+# Entries per block of squared distances: 2^17 doubles = 1 MiB.  A block
+# keeps two such arrays alive, 1/r^2 (overwritten by the gradient
+# weights) and w = r^-s, so the pair is 2 MiB, the L2 of one core of the
+# 2-core Xeon host this was measured on.  Blocks of 2^15 or fewer entries
+# were slower at N = 4000 from per-block overhead.
 _BLOCK_ENTRIES = 1 << 17
 
 
@@ -112,12 +115,21 @@ def _pair_kernel(X: np.ndarray, s: float | None, gradient: bool = False):
     with ``gradient``, the ambient pair gradient (else None).  Each
     unordered pair is visited once; peak memory is one block.  Squared
     distances are exact coordinate differences, so r2min == 0 means exact
-    coincidence.
+    coincidence; r2min is read before the block is overwritten.
+
+    Per block the squared distances are replaced in place by 1/r^2, and
+    w = (1/r^2)^(s/2) is one power expression for every s: numpy copies
+    for s = 2 and squares for s = 4, so libm ``pow`` runs only for other
+    s.  The gradient weights c = w/r^2 = |x_i - x_j|^(-s-2) overwrite
+    1/r^2.  The gradient needs sum_j c_ij x_j and sum_j c_ij per row (and
+    per column of an off-diagonal block); one matrix product of c with
+    [X | 1] gives both.
     """
     n = len(X)
     rows = max(1, _BLOCK_ENTRIES // max(n, 1))
     total, r2min = 0.0, np.inf
     G = np.zeros_like(X) if gradient else None
+    X1 = np.hstack([X, np.ones((n, 1))]) if gradient else None
     # coincident points (r2 = 0) are left to the caller's checks
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for i0 in range(0, n, rows):
@@ -134,20 +146,23 @@ def _pair_kernel(X: np.ndarray, s: float | None, gradient: bool = False):
                 r2min = min(r2min, float(r2.min()))
                 if s is None:
                     continue
-                w = r2 ** (-0.5 * s)
+                inv = np.divide(1.0, r2, out=r2)
+                w = inv ** (0.5 * s)
                 total += 2.0 * float(w.sum())
                 if not gradient:
                     continue
-                # sum_j c_ij (x_i - x_j) = x_i sum_j c_ij - (c @ X_j)_i
-                c = w / r2
+                # sum_j c_ij (x_i - x_j) = x_i sum_j c_ij - sum_j c_ij x_j,
+                # both sums from one product with [X | 1]
+                c = np.multiply(w, inv, out=inv)
                 if cols is None:
                     # the square form holds both orders of each pair
-                    c = squareform(c)
-                    G[i0:i1] -= 2.0 * s * (Xr * c.sum(axis=1)[:, None] - c @ Xr)
+                    S = squareform(c) @ X1[i0:i1]
                 else:
-                    # rows, and the columns by Newton's third law
-                    G[i0:i1] -= 2.0 * s * (Xr * c.sum(axis=1)[:, None] - c @ cols)
-                    G[i1:] -= 2.0 * s * (cols * c.sum(axis=0)[:, None] - c.T @ Xr)
+                    S = c @ X1[i1:]
+                    # the columns, by Newton's third law
+                    T = c.T @ X1[i0:i1]
+                    G[i1:] -= 2.0 * s * (cols * T[:, -1:] - T[:, :-1])
+                G[i0:i1] -= 2.0 * s * (Xr * S[:, -1:] - S[:, :-1])
     return total, r2min, G
 
 

@@ -214,12 +214,13 @@ def _fibonacci(sphere, n, rng):
 
 def test_region_mesh_ratios(sphere, measure_a, rng):
     cfg = _fibonacci(sphere, 400, rng)
-    fld, mesh, sep = catalog("a"), (covering_mesh(sphere, 0.04), 0.04), separation(cfg)
-    ratios = region_mesh_ratios(cfg, fld, measure_a.l1, sep, mesh)
+    fld, pts, sep = catalog("a"), covering_mesh(sphere, 0.04), separation(cfg)
+    q = fld.evaluate(pts)
+    ratios = region_mesh_ratios(cfg, fld, measure_a.l1, sep, pts, q)
     assert set(ratios) == {"mid", "polar"}
     for value in ratios.values():
         assert math.isfinite(value) and 0.0 < value < 5.0
-    halved = region_mesh_ratios(cfg, fld, measure_a.l1, 2.0 * sep, mesh)
+    halved = region_mesh_ratios(cfg, fld, measure_a.l1, 2.0 * sep, pts, q)
     for name in ratios:
         assert halved[name] == pytest.approx(ratios[name] / 2.0, rel=1e-12)
 
@@ -247,9 +248,8 @@ def _region_ratios_by_components(cfg, fld, l1, sep, mesh):
 def test_region_mesh_ratios_match_components(sphere, measure_a, n, seed):
     cfg = _fibonacci(sphere, n, np.random.default_rng(seed))
     fld, mesh, sep = catalog("a"), (covering_mesh(sphere, 0.04), 0.04), separation(cfg)
-    assert region_mesh_ratios(cfg, fld, measure_a.l1, sep, mesh) == _region_ratios_by_components(
-        cfg, fld, measure_a.l1, sep, mesh
-    )
+    ratios = region_mesh_ratios(cfg, fld, measure_a.l1, sep, mesh[0], fld.evaluate(mesh[0]))
+    assert ratios == _region_ratios_by_components(cfg, fld, measure_a.l1, sep, mesh)
 
 
 def test_build_report_consistency(interval02, measure_e):

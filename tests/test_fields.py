@@ -6,6 +6,7 @@ import pytest
 from rieszfield.constants import m_constant, riesz_constant
 from rieszfield.equilibrium import integrate_adaptive, solve_equilibrium
 from rieszfield.fields import (
+    _CAPS_NORMALIZER,
     DensityMap,
     ExternalField,
     catalog,
@@ -13,6 +14,7 @@ from rieszfield.fields import (
     design_field,
     field_from_descriptor,
     field_gradient,
+    _caps_raw,
     perturbed_density,
 )
 from rieszfield.geometry import make_interval, make_sphere
@@ -41,6 +43,13 @@ def test_qb_values():
     assert qb.evaluate(pole)[0] == pytest.approx(-21.0 / CAPS_MASS, rel=1e-12)
     assert qb.evaluate(equator)[0] == pytest.approx(-1.0 / CAPS_MASS, rel=1e-12)
     assert qb.breaks == {0: (-1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))}
+
+
+def test_caps_normalizer_closed_form():
+    # reference: the adaptive integral of the profile over the sphere
+    breaks = {0: (-1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))}
+    ref = integrate_adaptive(make_sphere(), _caps_raw, breaks=breaks, tol=1e-13)
+    assert _CAPS_NORMALIZER == pytest.approx(ref, rel=1e-13)
 
 
 def test_qc_values():
