@@ -20,7 +20,7 @@ from scipy import sparse
 from scipy.spatial import cKDTree
 
 from .geometry import CompactSet
-from .optimizer import Configuration, _pair_kernel, energy, tau
+from .optimizer import Configuration, _min_distance, energy, tau
 
 __all__ = [
     "DiagnosticsReport",
@@ -40,10 +40,11 @@ __all__ = [
 
 
 def separation(config: Configuration) -> float:
-    """Minimal pairwise distance, exact O(N^2) scan in O(N) memory."""
+    """Minimal pairwise distance, by an exact KD-tree nearest-neighbour
+    search in O(N log N)."""
     if config.n < 2:
         raise ValueError("separation needs at least two points")
-    return math.sqrt(_pair_kernel(config.points, None)[1])
+    return _min_distance(config.points)
 
 
 class CoveringEstimate(NamedTuple):

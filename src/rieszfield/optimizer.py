@@ -7,7 +7,11 @@ gradient descent: Armijo backtracking on the energy, retraction to the
 set after every trial step, convergence once the tangential gradient
 norm falls under a scale-aware tolerance.  Each trial is one pass over
 the pairs that gives its energy and tangent gradient together, and an
-accepted trial's gradient starts the next iteration.  Deliberately
+accepted trial's gradient starts the next iteration.  The pass walks
+row blocks; past the first block, squared distances come from one
+matrix product of centred coordinates, with the near pairs recomputed
+from coordinate differences, so the closest distances and the collision
+guard stay exact.  Separation is a nearest-neighbour search.  Deliberately
 first-order: the landscape is nonconvex with O(N^2) terms and
 verifiability beats iteration counts here.
 """
@@ -20,6 +24,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from .fields import ExternalField, field_gradient
@@ -102,20 +107,37 @@ _ARMIJO_SHRINK = 0.5
 # keeps two such arrays alive, 1/r^2 (overwritten by the gradient
 # weights) and w = r^-s, so the pair is 2 MiB, the L2 of one core of the
 # 2-core Xeon host this was measured on.  Blocks of 2^15 or fewer entries
-# were slower at N = 4000 from per-block overhead.
+# were slower at N = 4000 from per-block overhead.  An off-diagonal block
+# is written by one matrix product with a (p + 2)-column factor, so the
+# factors add (p + 2) * N doubles per call, not a block.
 _BLOCK_ENTRIES = 1 << 17
 
 
-def _pair_kernel(X: np.ndarray, s: float | None, gradient: bool = False):
+def _min_distance(X: np.ndarray) -> float:
+    """Smallest distance between two of the points X by nearest-neighbour
+    search (0 for coincident points, inf for fewer than two)."""
+    return float(cKDTree(X).query(X, k=2)[0][:, 1].min())
+
+
+def _pair_kernel(X: np.ndarray, s: float, gradient: bool = False):
     """One pass over the pairs of X in row blocks of squared distances.
 
     Returns (energy, r2min, G): the pair energy over ordered pairs,
-    sum_{i != j} |x_i - x_j|^(-s) (0 when ``s`` is None: distances only),
-    the smallest squared distance (inf for fewer than two points) and,
-    with ``gradient``, the ambient pair gradient (else None).  Each
-    unordered pair is visited once; peak memory is one block.  Squared
-    distances are exact coordinate differences, so r2min == 0 means exact
-    coincidence; r2min is read before the block is overwritten.
+    sum_{i != j} |x_i - x_j|^(-s), the smallest squared distance (inf
+    for fewer than two points) and, with ``gradient``, the ambient pair
+    gradient (else None).  Each unordered pair is visited once; peak
+    memory is one block.  r2min is read before the block is overwritten.
+
+    The pairs within a row block are exact coordinate differences
+    (``pdist``), so a call with one row block is exactly that.  With
+    several, each off-diagonal block is one matrix product
+    [y_i, a_i, 1] . [-2 y_j, 1, a_j] = |y_i - y_j|^2, where y is x less
+    its bounding-box midpoint and a = |y|^2.  Its rounding is about
+    eps * max a, so the rows of a block that reach under cut = 1e-4 *
+    max a are recomputed from coordinate differences.  Every entry under
+    the cut is then exact, and so is r2min whenever it is under the cut,
+    which covers the collision guard and coincidence (r2min == 0); other
+    entries are within about 1e-11 relative.
 
     Per block the squared distances are replaced in place by 1/r^2, and
     w = (1/r^2)^(s/2) is one power expression for every s: numpy copies
@@ -130,6 +152,13 @@ def _pair_kernel(X: np.ndarray, s: float | None, gradient: bool = False):
     total, r2min = 0.0, np.inf
     G = np.zeros_like(X) if gradient else None
     X1 = np.hstack([X, np.ones((n, 1))]) if gradient else None
+    if rows < n:
+        Y = X - 0.5 * (X.min(axis=0) + X.max(axis=0))
+        a = np.einsum("ij,ij->i", Y, Y)
+        ones = np.ones(n)
+        L = np.column_stack([Y, a, ones])
+        Rt = np.vstack([-2.0 * Y.T, ones, a])
+        cut = 1e-4 * float(a.max())
     # coincident points (r2 = 0) are left to the caller's checks
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for i0 in range(0, n, rows):
@@ -139,13 +168,17 @@ def _pair_kernel(X: np.ndarray, s: float | None, gradient: bool = False):
             # every later point, if any remain
             blocks = [(pdist(Xr, "sqeuclidean"), None)]
             if i1 < n:
-                blocks.append((cdist(Xr, Xc, "sqeuclidean"), Xc))
+                blocks.append((L[i0:i1] @ Rt[:, i1:], Xc))
             for r2, cols in blocks:
                 if r2.size == 0:
                     continue
-                r2min = min(r2min, float(r2.min()))
-                if s is None:
-                    continue
+                low = float(r2.min())
+                if cols is not None and low < cut:
+                    # the Gram rows that reach under the cut, exactly
+                    near = r2.min(axis=1) < cut
+                    r2[near] = cdist(Xr[near], cols, "sqeuclidean")
+                    low = float(r2.min())
+                r2min = min(r2min, low)
                 inv = np.divide(1.0, r2, out=r2)
                 w = inv ** (0.5 * s)
                 total += 2.0 * float(w.sum())
@@ -230,7 +263,7 @@ def _sample_initial(cset: CompactSet, N: int, rng, mode: str, measure) -> np.nda
     # jitter duplicate draws back apart; discrete nodes can repeat when
     # N exceeds the node count
     for _ in range(100):
-        if _pair_kernel(X, None)[1] > (1e-9 * cset.diameter) ** 2:
+        if _min_distance(X) > 1e-9 * cset.diameter:
             break
         scale = 2e-3 * cset.diameter
         X = cset.retract(X + rng.normal(scale=scale, size=X.shape))

@@ -130,14 +130,67 @@ def test_energy_multiblock_matches_pdist(kind, s, request, rng):
     assert energy(cfg, ZERO, s) == pytest.approx(ref, rel=1e-12)
 
 
-@pytest.mark.parametrize("kind", ["interval02", "sphere", "torus24"])
-def test_gradient_multiblock_matches_dense(kind, request, rng):
-    cfg = _multiblock_config(kind, request, rng)
+def _gradient_error(cfg, s):
+    # worst per-point relative error of energy_gradient against the dense reference
     X, cset = cfg.points, cfg.cset
-    ref = cset.tangent_project(X, _dense_pair_gradient(X, 4.0))
-    G = energy_gradient(cfg, ZERO, 4.0)
-    rel = np.linalg.norm(G - ref, axis=1) / np.linalg.norm(ref, axis=1)
-    assert rel.max() < 1e-9
+    ref = cset.tangent_project(X, _dense_pair_gradient(X, s))
+    G = energy_gradient(cfg, ZERO, s)
+    return float((np.linalg.norm(G - ref, axis=1) / np.linalg.norm(ref, axis=1)).max())
+
+
+# interval02 stays at s = 4: on a line, x_i sum_j c_ij - sum_j c_ij x_j
+# cancels, and other s (or seeds) reach the bound there
+@pytest.mark.parametrize(
+    "kind, s", [case for case in MULTIBLOCK_CASES if case.values[0] != "interval02" or case.values[1] == 4.0]
+)
+def test_gradient_multiblock_matches_dense(kind, s, request, rng):
+    assert _gradient_error(_multiblock_config(kind, request, rng), s) < 1e-9
+
+
+def _counted_cdist(monkeypatch):
+    # rows recomputed from coordinate differences by the Gram fallback
+    rows, cdist = [], optimizer.cdist
+
+    def counted_cdist(XA, XB, metric):
+        rows.append(len(XA))
+        return cdist(XA, XB, metric)
+
+    monkeypatch.setattr(optimizer, "cdist", counted_cdist)
+    return rows
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e3])
+def test_multiblock_gram_path_needs_no_fallback(shift, monkeypatch):
+    # Fibonacci points on the unit sphere, spacing ~0.08: no off-diagonal
+    # entry is under the cut once the coordinates are centred, however far
+    # the set sits from the origin
+    n = 2000
+    k = np.arange(n) + 0.5
+    z = 1.0 - 2.0 * k / n
+    phi = np.pi * (1.0 + 5.0**0.5) * k
+    rho = np.sqrt(1.0 - z * z)
+    X = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z]) + shift
+    assert n > _BLOCK_ENTRIES // n  # several row blocks
+    rows = _counted_cdist(monkeypatch)
+    pair = optimizer._pair_kernel(X, 4.0)[0]
+    assert rows == []
+    assert pair == pytest.approx(2.0 * float((pdist(X) ** -4.0).sum()), rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["sphere", "torus24"])
+def test_multiblock_gram_fallback(kind, request, rng, monkeypatch):
+    # a pair 1e-5 * diameter apart in an off-diagonal block: its Gram
+    # entry would be off by ~1e-6 relative, so its row is recomputed
+    cfg = _multiblock_config(kind, request, rng)
+    X = cfg.points.copy()
+    X[-1] = X[0]
+    X[-1, 0] += 1e-5 * cfg.cset.diameter
+    cfg = Configuration(X, cfg.cset)
+    rows = _counted_cdist(monkeypatch)
+    ref = 2.0 * float((pdist(X) ** -4.0).sum())
+    assert energy(cfg, ZERO, 4.0) == pytest.approx(ref, rel=1e-12)
+    assert rows
+    assert _gradient_error(cfg, 4.0) < 1e-9
 
 
 @pytest.mark.parametrize("kind, s", MULTIBLOCK_CASES)
@@ -376,12 +429,16 @@ def test_one_pair_pass_per_trial(monkeypatch):
     # each trial's pass gives its energy and gradient and an accepted
     # trial's gradient starts the next iteration; the restart adds the
     # sample's pass and the final energy call
-    kernel = optimizer._pair_kernel
+    kernel, min_distance = optimizer._pair_kernel, optimizer._min_distance
     passes = {"pair": 0, "distance": 0}
 
     def counted_kernel(X, s, gradient=False):
-        passes["distance" if s is None else "pair"] += 1
+        passes["pair"] += 1
         return kernel(X, s, gradient)
+
+    def counted_min_distance(X):
+        passes["distance"] += 1
+        return min_distance(X)
 
     cset = make_sphere()
     retract = cset.retract
@@ -392,6 +449,7 @@ def test_one_pair_pass_per_trial(monkeypatch):
         return retract(X)
 
     monkeypatch.setattr(optimizer, "_pair_kernel", counted_kernel)
+    monkeypatch.setattr(optimizer, "_min_distance", counted_min_distance)
     monkeypatch.setattr(cset, "retract", counted_retract)
     res = minimize(cset, catalog("a"), 2.0, 40, OptimizerSettings(restarts=1, max_iters=30))
     assert len(res.trace) == 30
