@@ -8,10 +8,10 @@ set after every trial step, convergence once the tangential gradient
 norm falls under a scale-aware tolerance.  Each trial is one pass over
 the pairs that gives its energy and tangent gradient together, and an
 accepted trial's gradient starts the next iteration.  The pass walks
-row blocks; past the first block, squared distances come from one
-matrix product of centred coordinates, with the near pairs recomputed
-from coordinate differences, so the closest distances and the collision
-guard stay exact.  Separation is a nearest-neighbour search.  Deliberately
+row blocks; the distances from a block to later points come from one
+matrix product of centred coordinates, and the rows with near pairs are
+recomputed from coordinate differences, so the closest distances and
+the collision guard stay exact.  Deliberately
 first-order: the landscape is nonconvex with O(N^2) terms and
 verifiability beats iteration counts here.
 """
@@ -107,9 +107,9 @@ _ARMIJO_SHRINK = 0.5
 # keeps two such arrays alive, 1/r^2 (overwritten by the gradient
 # weights) and w = r^-s, so the pair is 2 MiB, the L2 of one core of the
 # 2-core Xeon host this was measured on.  Blocks of 2^15 or fewer entries
-# were slower at N = 4000 from per-block overhead.  An off-diagonal block
-# is written by one matrix product with a (p + 2)-column factor, so the
-# factors add (p + 2) * N doubles per call, not a block.
+# were slower at N = 4000 from per-block overhead.  The two Gram factors
+# that write the off-diagonal blocks are (p + 2) * N doubles each, 160 KB
+# at N = 4000 on the sphere.
 _BLOCK_ENTRIES = 1 << 17
 
 
@@ -137,7 +137,10 @@ def _pair_kernel(X: np.ndarray, s: float, gradient: bool = False):
     max a are recomputed from coordinate differences.  Every entry under
     the cut is then exact, and so is r2min whenever it is under the cut,
     which covers the collision guard and coincidence (r2min == 0); other
-    entries are within about 1e-11 relative.
+    entries are within about 1e-11 relative.  Once a block falls back on
+    every row, as on a line, where each point has a neighbour under the
+    cut, the later blocks of the call are coordinate differences
+    (``cdist``) from the start.
 
     Per block the squared distances are replaced in place by 1/r^2, and
     w = (1/r^2)^(s/2) is one power expression for every s: numpy copies
@@ -152,7 +155,8 @@ def _pair_kernel(X: np.ndarray, s: float, gradient: bool = False):
     total, r2min = 0.0, np.inf
     G = np.zeros_like(X) if gradient else None
     X1 = np.hstack([X, np.ones((n, 1))]) if gradient else None
-    if rows < n:
+    gram = rows < n
+    if gram:
         Y = X - 0.5 * (X.min(axis=0) + X.max(axis=0))
         a = np.einsum("ij,ij->i", Y, Y)
         ones = np.ones(n)
@@ -168,15 +172,19 @@ def _pair_kernel(X: np.ndarray, s: float, gradient: bool = False):
             # every later point, if any remain
             blocks = [(pdist(Xr, "sqeuclidean"), None)]
             if i1 < n:
-                blocks.append((L[i0:i1] @ Rt[:, i1:], Xc))
+                blocks.append((L[i0:i1] @ Rt[:, i1:] if gram else cdist(Xr, Xc, "sqeuclidean"), Xc))
             for r2, cols in blocks:
                 if r2.size == 0:
                     continue
                 low = float(r2.min())
-                if cols is not None and low < cut:
-                    # the Gram rows that reach under the cut, exactly
+                if cols is not None and gram and low < cut:
+                    # rows that reach under the cut, from coordinate differences
                     near = r2.min(axis=1) < cut
-                    r2[near] = cdist(Xr[near], cols, "sqeuclidean")
+                    if near.all():
+                        gram = False
+                        cdist(Xr, cols, "sqeuclidean", out=r2)
+                    else:
+                        r2[near] = cdist(Xr[near], cols, "sqeuclidean")
                     low = float(r2.min())
                 r2min = min(r2min, low)
                 inv = np.divide(1.0, r2, out=r2)
