@@ -181,7 +181,7 @@ def _pair_kernel(X: np.ndarray, s: float, gradient: bool = False):
                     # rows that reach under the cut, from coordinate differences
                     near = r2.min(axis=1) < cut
                     if near.all():
-                        gram = False
+                        gram = False  # the product gains nothing on these points
                         cdist(Xr, cols, "sqeuclidean", out=r2)
                     else:
                         r2[near] = cdist(Xr[near], cols, "sqeuclidean")
