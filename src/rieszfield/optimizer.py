@@ -137,10 +137,7 @@ def _pair_kernel(X: np.ndarray, s: float, gradient: bool = False):
     max a are recomputed from coordinate differences.  Every entry under
     the cut is then exact, and so is r2min whenever it is under the cut,
     which covers the collision guard and coincidence (r2min == 0); other
-    entries are within about 1e-11 relative.  Once a block falls back on
-    every row, as on a line, where each point has a neighbour under the
-    cut, the later blocks of the call are coordinate differences
-    (``cdist``) from the start.
+    entries are within about 1e-11 relative.
 
     Per block the squared distances are replaced in place by 1/r^2, and
     w = (1/r^2)^(s/2) is one power expression for every s: numpy copies
@@ -155,8 +152,7 @@ def _pair_kernel(X: np.ndarray, s: float, gradient: bool = False):
     total, r2min = 0.0, np.inf
     G = np.zeros_like(X) if gradient else None
     X1 = np.hstack([X, np.ones((n, 1))]) if gradient else None
-    gram = rows < n
-    if gram:
+    if rows < n:
         Y = X - 0.5 * (X.min(axis=0) + X.max(axis=0))
         a = np.einsum("ij,ij->i", Y, Y)
         ones = np.ones(n)
@@ -172,19 +168,15 @@ def _pair_kernel(X: np.ndarray, s: float, gradient: bool = False):
             # every later point, if any remain
             blocks = [(pdist(Xr, "sqeuclidean"), None)]
             if i1 < n:
-                blocks.append((L[i0:i1] @ Rt[:, i1:] if gram else cdist(Xr, Xc, "sqeuclidean"), Xc))
+                blocks.append((L[i0:i1] @ Rt[:, i1:], Xc))
             for r2, cols in blocks:
                 if r2.size == 0:
                     continue
                 low = float(r2.min())
-                if cols is not None and gram and low < cut:
+                if cols is not None and low < cut:
                     # rows that reach under the cut, from coordinate differences
                     near = r2.min(axis=1) < cut
-                    if near.all():
-                        gram = False  # the product gains nothing on these points
-                        cdist(Xr, cols, "sqeuclidean", out=r2)
-                    else:
-                        r2[near] = cdist(Xr[near], cols, "sqeuclidean")
+                    r2[near] = cdist(Xr[near], cols, "sqeuclidean")
                     low = float(r2.min())
                 r2min = min(r2min, low)
                 inv = np.divide(1.0, r2, out=r2)

@@ -153,9 +153,9 @@ def _counted_cdist(monkeypatch):
     # rows recomputed from coordinate differences by the Gram fallback
     rows, cdist = [], optimizer.cdist
 
-    def counted_cdist(XA, XB, metric):
+    def counted_cdist(XA, XB, *args, **kwargs):
         rows.append(len(XA))
-        return cdist(XA, XB, metric)
+        return cdist(XA, XB, *args, **kwargs)
 
     monkeypatch.setattr(optimizer, "cdist", counted_cdist)
     return rows
