@@ -72,13 +72,13 @@ def project_points(X: np.ndarray) -> np.ndarray:
 
 
 def support_contour(cset, measure) -> np.ndarray:
-    """Ambient midpoints of parameter-grid edges where the support
-    indicator flips; projected, they trace the support boundary."""
+    """Ambient midpoints of parameter-grid edges where the equilibrium
+    density turns positive; projected, they trace the support boundary."""
     dim = len(cset.param_bounds)
     res = _CONTOUR_RES[dim]
     grids = [np.linspace(a, b, res) for a, b in cset.param_bounds]
     P = _grid(grids)
-    ind = measure.support_indicator(cset.chart(P)).reshape((res,) * dim)
+    ind = (measure.density(cset.chart(P)) > 0).reshape((res,) * dim)
     segs = []
     for ax in range(dim):
         lo = (slice(None),) * ax + (slice(None, -1),)

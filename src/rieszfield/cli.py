@@ -89,19 +89,6 @@ def _problem_set(set_desc, s):
     return cset, s
 
 
-def _build_problem(set_desc, field_desc, s, n, override=None):
-    """Shared validation path for solve and reproduce."""
-    cset, s = _problem_set(set_desc, s)
-    if n < 2:
-        raise CliError(EXIT_CONFIG, f"need at least 2 points, got n={n}")
-    const = _resolve_constant(s, cset.hausdorff_dim, override)
-    try:
-        fld = field_from_descriptor(field_desc, cset, s)
-    except (ValueError, TypeError, KeyError) as e:
-        raise CliError(EXIT_CONFIG, f"bad field descriptor: {e}") from e
-    return cset, fld, s, n, const
-
-
 def _settings_from(cfg_settings: dict, seed=None) -> OptimizerSettings:
     opts = dict(cfg_settings or {})
     if seed is not None:
@@ -110,6 +97,17 @@ def _settings_from(cfg_settings: dict, seed=None) -> OptimizerSettings:
         return OptimizerSettings(**opts)
     except (TypeError, ValueError) as e:
         raise CliError(EXIT_CONFIG, f"bad optimizer settings: {e}") from e
+
+
+def _constants(const) -> dict:
+    """The constants block of report.json and design.json."""
+    return {
+        "s": const.s,
+        "d": const.d,
+        "c_sd": const.value,
+        "provenance": const.provenance,
+        "m_sd": m_constant(const.s, const.d, const),
+    }
 
 
 def _solve_measure(cset, fld, s, const):
@@ -170,25 +168,18 @@ def _run(cset, fld, s, n, const, settings, out_dir, label, entry=None):
     eq = diagnostics.density_table_average(measure, table)
     comparison = None if entry is None else _compare(entry, fld, measure, result.config, report, table, eq)
     t_diagnostics = time.perf_counter()
-    d = cset.hausdorff_dim
     report_dict = {
         "label": label,
         "seed": settings.rng_seed,
         "n_points": n,
         "set": cset.descriptor(),
-        "constants": {
-            "s": s,
-            "d": d,
-            "c_sd": const.value,
-            "provenance": const.provenance,
-            "m_sd": m_constant(s, d, const),
-        },
+        "constants": _constants(const),
         "l1": measure.l1,
         "s_value": measure.s_value,
         "support_fraction": measure.support_fraction,
         "solver_info": measure.solver_info,
         "energy": result.energy,
-        "energy_over_tau": result.energy / tau(s, d, n),
+        "energy_over_tau": result.energy / tau(s, cset.hausdorff_dim, n),
         "converged": result.converged,
         "grad_norm": result.grad_norm,
         "iterations": int(result.trace[-1, 0]) + 1 if len(result.trace) else 0,
@@ -215,20 +206,31 @@ def _run(cset, fld, s, n, const, settings, out_dir, label, entry=None):
             print(f"  {name}: computed {c['computed']:.6g} vs published {c['published']:.6g}{tol} {verdict}")
 
 
+def _solve_config(cfg: dict, where, out_dir, label=None, entry=None):
+    """Validate a run config and run it: the one path of solve and reproduce.
+
+    ``label`` defaults to the config's own, then to the field's.  ``entry``
+    is a bundled example whose published windows the run is checked against.
+    """
+    set_desc, field_desc, s, n = (_require(cfg, key, where) for key in ("set", "field", "s", "n"))
+    n = _whole(n, "n")
+    cset, s = _problem_set(set_desc, s)
+    if n < 2:
+        raise CliError(EXIT_CONFIG, f"need at least 2 points, got n={n}")
+    const = _resolve_constant(s, cset.hausdorff_dim, cfg.get("c_override"))
+    try:
+        fld = field_from_descriptor(field_desc, cset, s)
+    except (ValueError, TypeError, KeyError) as e:
+        raise CliError(EXIT_CONFIG, f"bad field descriptor: {e}") from e
+    settings = _settings_from(cfg.get("settings"), cfg.get("seed"))
+    _run(cset, fld, s, n, const, settings, out_dir, label or cfg.get("label", fld.label), entry)
+
+
 def cmd_solve(args) -> int:
     cfg = _load_json(args.config)
     if not isinstance(cfg, dict):
         raise CliError(EXIT_CONFIG, f"{args.config}: run config must be a JSON object")
-    cset, fld, s, n, const = _build_problem(
-        _require(cfg, "set", args.config),
-        _require(cfg, "field", args.config),
-        _require(cfg, "s", args.config),
-        _whole(_require(cfg, "n", args.config), "n"),
-        cfg.get("c_override"),
-    )
-    settings = _settings_from(cfg.get("settings"), cfg.get("seed"))
-    out_dir = args.out or cfg.get("out_dir") or "riesz-run"
-    _run(cset, fld, s, n, const, settings, out_dir, cfg.get("label", fld.label))
+    _solve_config(cfg, args.config, args.out or cfg.get("out_dir") or "riesz-run")
     return 0
 
 
@@ -237,43 +239,34 @@ def _reproduce_defaults() -> dict:
     return json.loads(path.read_text())
 
 
-def _check(published, computed, rel_tol):
-    return {
-        "published": published,
-        "computed": computed,
-        "rel_tol": rel_tol,
-        "within": bool(abs(computed - published) <= rel_tol * abs(published)),
-    }
+def _check(window, computed):
+    """A computed value against a published window: within ``rel_tol`` of
+    its value when the window has one, otherwise at most its value."""
+    value = window["value"]
+    check = {"published": value, "computed": computed}
+    if "rel_tol" in window:
+        check["rel_tol"] = window["rel_tol"]
+        within = abs(computed - value) <= window["rel_tol"] * abs(value)
+    else:
+        within = computed <= value
+    return check | {"within": bool(within)}
 
 
 def _compare(entry, fld, measure, config, report, table, eq):
     """The run's numbers against the published windows of ``entry``;
     ``table`` and ``eq`` are the empirical and equilibrium densities."""
     pub = entry["published"]
-    window = pub["separation"]
-    checks = {"separation": _check(window["value"], report.separation, window["rel_tol"])}
+    computed = {
+        "separation": report.separation,
+        "void_avoidance": float(np.max(fld.evaluate(config.points))),
+        "histogram_sup_dev": float(np.max(np.abs(table["density"] - eq))),
+    }
     if "mesh_ratio_mid" in pub:
         ratios = diagnostics.region_mesh_ratios(
             config, fld, measure.l1, report.separation, config.cset.mesh()[0], report.mesh_values
         )
-        for name in ("mid", "polar"):
-            window = pub[f"mesh_ratio_{name}"]
-            checks[f"mesh_ratio_{name}"] = _check(window["value"], ratios[name], window["rel_tol"])
-    if "void_field_level" in pub:
-        level = pub["void_field_level"]["value"]
-        qmax = float(np.max(fld.evaluate(config.points)))
-        checks["void_avoidance"] = {
-            "published": level,
-            "computed": qmax,
-            "within": bool(qmax < level),
-        }
-    if "histogram_sup_dev" in pub:
-        dev = float(np.max(np.abs(table["density"] - eq)))
-        checks["histogram_sup_dev"] = {
-            "published": pub["histogram_sup_dev"]["value"],
-            "computed": dev,
-            "within": bool(dev <= pub["histogram_sup_dev"]["value"]),
-        }
+        computed |= {f"mesh_ratio_{name}": ratio for name, ratio in ratios.items()}
+    checks = {name: _check(window, computed[name]) for name, window in pub.items()}
     return {
         "published_n": entry["published_n"],
         "run_n": config.n,
@@ -285,17 +278,14 @@ def _compare(entry, fld, measure, config, report, table, eq):
 
 def cmd_reproduce(args) -> int:
     entry = _reproduce_defaults()["examples"][args.example]
-    n = entry["run_n"] if args.n is None else args.n
-    cset, fld, s, n, const = _build_problem(entry["set"], entry["field"], entry["s"], n)
-    opts = dict(entry["settings"])
+    cfg = dict(entry, settings=dict(entry["settings"]))
+    for key, value in (("n", args.n), ("seed", args.seed)):
+        if value is not None:
+            cfg[key] = value
     if args.iters is not None:
-        opts["max_iters"] = args.iters
-    if args.seed is not None:
-        opts["seed"] = args.seed
-    settings = _settings_from({k: v for k, v in opts.items() if k != "seed"}, opts.get("seed"))
-    out_dir = args.out or f"riesz-reproduce-{args.example}"
-    label = f"catalog field {args.example}, n = {n}"
-    _run(cset, fld, s, n, const, settings, out_dir, label, entry)
+        cfg["settings"]["max_iters"] = args.iters
+    label = f"catalog field {args.example}, n = {cfg['n']}"
+    _solve_config(cfg, f"example {args.example}", args.out or f"riesz-reproduce-{args.example}", label, entry)
     return 0
 
 
@@ -325,13 +315,7 @@ def cmd_design(args) -> int:
     out = {
         "field": {"kind": "designed", "rho": rho_desc, "s": s},
         "label": design.q.label,
-        "constants": {
-            "s": s,
-            "d": cset.hausdorff_dim,
-            "c_sd": const.value,
-            "provenance": const.provenance,
-            "m_sd": design.m_constant,
-        },
+        "constants": _constants(const),
         "renormalized": design.renormalized,
         "round_trip": {
             "l1": measure.l1,
@@ -350,13 +334,7 @@ def cmd_design(args) -> int:
 
 def cmd_constants(args) -> int:
     const = _resolve_constant(args.s, args.d, args.override)
-    out = {
-        "s": const.s,
-        "d": const.d,
-        "value": const.value,
-        "provenance": const.provenance,
-        "m_sd": m_constant(const.s, const.d, const),
-    }
+    out = {("value" if key == "c_sd" else key): v for key, v in _constants(const).items()}
     print(json.dumps(out, indent=2))
     return 0
 

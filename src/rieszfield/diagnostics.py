@@ -155,14 +155,11 @@ def density_table_average(measure, table: dict) -> np.ndarray:
     if kind == "sphere_bands":
         edges = table["edges"]
         r = measure.set.params["radius"]
+        phis = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
         out = np.empty(len(edges) - 1)
         for i in range(len(out)):
-            zs = np.linspace(edges[i], edges[i + 1], _SAMPLES_PER_BIN)
-            phis = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
-            Z, PH = np.meshgrid(zs, phis)
-            rho_xy = np.sqrt(np.clip(r * r - Z**2, 0.0, None))
-            P = np.stack([rho_xy * np.cos(PH), rho_xy * np.sin(PH), Z], axis=-1).reshape(-1, 3)
-            out[i] = measure.density(P).mean()
+            Z, PH = np.meshgrid(np.linspace(edges[i], edges[i + 1], _SAMPLES_PER_BIN) / r, phis)
+            out[i] = measure.density(measure.set.chart(np.column_stack([Z.ravel(), PH.ravel()]))).mean()
         return out
     return measure.density(table["centers"])
 

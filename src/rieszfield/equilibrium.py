@@ -295,8 +295,8 @@ def _refine(cells, integrand, tol, budget):
 class EquilibriumMeasure:
     """Solved limiting measure: the constant L1 plus its density.
 
-    ``density`` and ``support_indicator`` are maps over ambient points;
-    ``s_value`` is the first-order energy limit S(q, A).  The adaptive
+    ``density`` is a map over ambient points, positive exactly on the
+    support; ``s_value`` is the first-order energy limit S(q, A).  The adaptive
     quadrature rule the equation was solved on is kept internally for
     integrals against the measure.
     """
@@ -319,11 +319,6 @@ class EquilibriumMeasure:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         q = np.asarray(self.field.evaluate(pts), dtype=float)
         return _level_density(q, self.l1, self.m_sd, self.d / self.s)
-
-    def support_indicator(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        q = np.asarray(self.field.evaluate(pts), dtype=float)
-        return np.where(np.isfinite(q), q, np.inf) <= self.l1
 
     def integrate(self, fn: Callable[[np.ndarray], np.ndarray]) -> float:
         """Integral of fn against the measure (uses the internal rule)."""

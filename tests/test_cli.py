@@ -1,11 +1,13 @@
 import csv
 import functools
+import inspect
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -313,6 +315,78 @@ def test_reproduce_zero_override_rejected(tmp_path, capsys, flag, message):
     assert cli.main(["reproduce", "e", "--out", str(tmp_path / "rep"), flag, "0"]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "rep").exists()
+
+
+def _record_runs(monkeypatch):
+    """Replace cli._run by a recorder of its arguments, by name."""
+    runs = []
+    sig = inspect.signature(cli._run)
+    monkeypatch.setattr(cli, "_run", lambda *a, **kw: runs.append(sig.bind(*a, **kw).arguments))
+    return runs
+
+
+# example: (n, max_iters, init, published_n, published window names)
+BUNDLED = {
+    "a": (1000, 1500, "density", 1000, ["separation", "mesh_ratio_mid", "mesh_ratio_polar"]),
+    "b": (200, 3000, "weighted", 500, ["separation"]),
+    "c": (500, 2000, "weighted", 500, ["separation"]),
+    "d": (1000, 1500, "weighted", 1000, ["separation", "void_avoidance"]),
+    "e": (200, 5000, "stratified", 500, ["separation", "histogram_sup_dev"]),
+}
+
+
+@pytest.mark.parametrize("example", sorted(BUNDLED))
+def test_bundled_example_reaches_run(monkeypatch, example):
+    n, max_iters, init, published_n, windows = BUNDLED[example]
+    runs = _record_runs(monkeypatch)
+    assert cli.main(["reproduce", example]) == 0
+    (run,) = runs
+    assert run["n"] == n
+    assert run["settings"] == cli.OptimizerSettings(max_iters=max_iters, restarts=1, rng_seed=0, init=init)
+    assert run["label"] == f"catalog field {example}, n = {n}"
+    assert run["out_dir"] == f"riesz-reproduce-{example}"
+    assert run["entry"]["published_n"] == published_n
+    assert list(run["entry"]["published"]) == windows
+
+
+def test_reproduce_overrides_reach_run(tmp_path, monkeypatch):
+    runs = _record_runs(monkeypatch)
+    out = str(tmp_path / "rep")
+    assert cli.main(["reproduce", "e", "--out", out, "--n", "24", "--iters", "60", "--seed", "3"]) == 0
+    assert cli.main(["reproduce", "e"]) == 0
+    over, default = runs
+    assert over["n"] == 24
+    assert over["settings"] == cli.OptimizerSettings(max_iters=60, restarts=1, rng_seed=3, init="stratified")
+    assert over["label"] == "catalog field e, n = 24"
+    assert over["out_dir"] == out
+    # the overrides apply to a copy: the bundled defaults stay as they were
+    assert default["n"] == 200
+    assert default["settings"] == cli.OptimizerSettings(max_iters=5000, restarts=1, rng_seed=0, init="stratified")
+
+
+def test_window_rule_edges():
+    # a relative window holds up to rel_tol on either side and not one ulp
+    # further; an upper-bound window holds at its value and not one ulp above
+    rel = {"value": 1.0, "rel_tol": 0.25}
+    for edge, outward in ((1.25, 2.0), (0.75, 0.0)):
+        assert cli._check(rel, edge) == {"published": 1.0, "computed": edge, "rel_tol": 0.25, "within": True}
+        assert cli._check(rel, np.nextafter(edge, outward))["within"] is False
+    bound = {"value": 0.127}
+    assert cli._check(bound, 0.127) == {"published": 0.127, "computed": 0.127, "within": True}
+    assert cli._check(bound, np.nextafter(0.127, 1.0))["within"] is False
+
+
+def test_void_check_holds_at_equality():
+    # points at exactly the published field level avoid the void
+    level = 0.127
+    entry = {"published_n": 4, "published": {"void_avoidance": {"value": level}}}
+    config = types.SimpleNamespace(points=np.zeros((4, 1)), n=4)
+    flat = types.SimpleNamespace(evaluate=lambda X: np.full(len(X), level))
+    report = types.SimpleNamespace(separation=0.5)
+    table = {"density": np.ones(2)}
+    comparison = cli._compare(entry, flat, None, config, report, table, np.ones(2))
+    assert comparison["checks"] == {"void_avoidance": {"published": level, "computed": level, "within": True}}
+    assert comparison["all_within"] is True
 
 
 def test_reproduce_unknown_example():
