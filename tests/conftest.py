@@ -1,8 +1,11 @@
 """Shared fixtures: compact sets and solved measures reused across modules."""
 
+import inspect
+
 import numpy as np
 import pytest
 
+from rieszfield import cli
 from rieszfield.equilibrium import solve_equilibrium
 from rieszfield.fields import catalog
 from rieszfield.geometry import make_interval, make_sphere, make_torus
@@ -26,6 +29,16 @@ def interval02():
 @pytest.fixture(scope="session")
 def torus24():
     return make_torus(2.0, 4.0)
+
+
+@pytest.fixture
+def recorded_runs(monkeypatch):
+    """cli._run replaced by a recorder: one dict of its arguments, by
+    name, per call, and no solve."""
+    runs = []
+    sig = inspect.signature(cli._run)
+    monkeypatch.setattr(cli, "_run", lambda *a, **kw: runs.append(sig.bind(*a, **kw).arguments))
+    return runs
 
 
 @pytest.fixture(scope="session")

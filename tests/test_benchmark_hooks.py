@@ -110,22 +110,19 @@ def test_energy_fault_reaches_reported_numbers(monkeypatch):
     assert report.energy_ratio == 2.0 * exact(result.config, zero, 2.0) / tau(2.0, 1, 6)
 
 
-def test_benchmark_solve_config_reaches_run(tmp_path, monkeypatch):
-    # the sphere-large workload runs the config below through
-    # `rieszfield solve`: a top-level seed, settings without one, and a
-    # "mode" key the CLI ignores.  A seed lost on the way would run every
-    # benchmark seed as seed 0
+def test_benchmark_solve_config_reaches_run(tmp_path, monkeypatch, recorded_runs):
+    # the sphere-large workload (perfbench/workloads.py) writes a solve
+    # config with a top-level seed, settings without one, and a "mode" key
+    # the CLI ignores.  A seed lost on the way would run every benchmark
+    # seed as seed 0
     monkeypatch.syspath_prepend(str(TRACING.parent))
     workloads = importlib.import_module("workloads")
     work = workloads.SphereLarge(3, tmp_path, minimal=False)
     written = json.loads(work.config.read_text())
     assert written["seed"] == 3 and "seed" not in written["settings"]
     assert written["mode"] == "reproducible"
-    runs = []
-    sig = inspect.signature(cli._run)
-    monkeypatch.setattr(cli, "_run", lambda *a, **kw: runs.append(sig.bind(*a, **kw).arguments))
     assert cli.main(["solve", str(work.config), "--out", str(tmp_path / "d")]) == 0
-    (run,) = runs
+    (run,) = recorded_runs
     assert run["n"] == 4000
     assert run["settings"] == OptimizerSettings(max_iters=30, restarts=1, rng_seed=3, init="weighted")
     assert run["out_dir"] == str(tmp_path / "d")

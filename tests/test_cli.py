@@ -1,6 +1,5 @@
 import csv
 import functools
-import inspect
 import json
 import math
 import os
@@ -317,14 +316,6 @@ def test_reproduce_zero_override_rejected(tmp_path, capsys, flag, message):
     assert not (tmp_path / "rep").exists()
 
 
-def _record_runs(monkeypatch):
-    """Replace cli._run by a recorder of its arguments, by name."""
-    runs = []
-    sig = inspect.signature(cli._run)
-    monkeypatch.setattr(cli, "_run", lambda *a, **kw: runs.append(sig.bind(*a, **kw).arguments))
-    return runs
-
-
 # example: (n, max_iters, init, published_n, published window names)
 BUNDLED = {
     "a": (1000, 1500, "density", 1000, ["separation", "mesh_ratio_mid", "mesh_ratio_polar"]),
@@ -336,11 +327,10 @@ BUNDLED = {
 
 
 @pytest.mark.parametrize("example", sorted(BUNDLED))
-def test_bundled_example_reaches_run(monkeypatch, example):
+def test_bundled_example_reaches_run(recorded_runs, example):
     n, max_iters, init, published_n, windows = BUNDLED[example]
-    runs = _record_runs(monkeypatch)
     assert cli.main(["reproduce", example]) == 0
-    (run,) = runs
+    (run,) = recorded_runs
     assert run["n"] == n
     assert run["settings"] == cli.OptimizerSettings(max_iters=max_iters, restarts=1, rng_seed=0, init=init)
     assert run["label"] == f"catalog field {example}, n = {n}"
@@ -349,12 +339,11 @@ def test_bundled_example_reaches_run(monkeypatch, example):
     assert list(run["entry"]["published"]) == windows
 
 
-def test_reproduce_overrides_reach_run(tmp_path, monkeypatch):
-    runs = _record_runs(monkeypatch)
+def test_reproduce_overrides_reach_run(tmp_path, recorded_runs):
     out = str(tmp_path / "rep")
     assert cli.main(["reproduce", "e", "--out", out, "--n", "24", "--iters", "60", "--seed", "3"]) == 0
     assert cli.main(["reproduce", "e"]) == 0
-    over, default = runs
+    over, default = recorded_runs
     assert over["n"] == 24
     assert over["settings"] == cli.OptimizerSettings(max_iters=60, restarts=1, rng_seed=3, init="stratified")
     assert over["label"] == "catalog field e, n = 24"
