@@ -26,6 +26,7 @@ from .geometry import set_from_descriptor
 from .optimizer import (
     OptimizerFailure,
     OptimizerSettings,
+    _whole,
     minimize,
     tau,
     write_points_csv,
@@ -57,20 +58,6 @@ def _require(cfg: dict, key: str, where: str):
     if key not in cfg:
         raise CliError(EXIT_CONFIG, f"{where} is missing required key {key!r}")
     return cfg[key]
-
-
-def _whole(value, key: str) -> int:
-    """A count from a config as an int; anything but a whole number exits 2."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not float(value).is_integer():
-        raise CliError(EXIT_CONFIG, f"{key} must be a whole number, got {value!r}")
-    return int(value)
-
-
-def _resolve_constant(s, d, override=None):
-    try:
-        return riesz_constant(s, d, override)
-    except ValueError as e:
-        raise CliError(EXIT_CONFIG, str(e)) from e
 
 
 def _problem_set(set_desc, s):
@@ -146,9 +133,6 @@ def _write_run(out_dir: Path, result, measure, cset, fld, report_dict, table, eq
     with open(out_dir / "report.json", "w") as fh:
         json.dump(report_dict, fh, indent=2)
         fh.write("\n")
-    missing = [f for f in _REPORT_FILES if not (out_dir / f).is_file()]
-    if missing:
-        raise CliError(EXIT_IO, f"run artifacts missing after write: {missing}")
     return report_dict["files"]
 
 
@@ -217,7 +201,7 @@ def _solve_config(cfg: dict, where, out_dir, label=None, entry=None):
     cset, s = _problem_set(set_desc, s)
     if n < 2:
         raise CliError(EXIT_CONFIG, f"need at least 2 points, got n={n}")
-    const = _resolve_constant(s, cset.hausdorff_dim, cfg.get("c_override"))
+    const = riesz_constant(s, cset.hausdorff_dim, cfg.get("c_override"))
     try:
         fld = field_from_descriptor(field_desc, cset, s)
     except (ValueError, TypeError, KeyError) as e:
@@ -293,20 +277,16 @@ def cmd_design(args) -> int:
     set_desc = _load_json(args.set_json)
     rho_desc = _load_json(args.rho_json)
     cset, s = _problem_set(set_desc, args.s)
-    try:
-        rho = density_from_descriptor(rho_desc, cset)
-        total = integrate_adaptive(cset, rho.evaluate, breaks=rho.breaks, tol=1e-12)
-        if abs(total - 1.0) > 1e-4:
-            raise CliError(
-                EXIT_CONFIG,
-                f"target density integrates to {total:.6g}; normalize it to unit "
-                f"mass (tolerance 1e-4) before designing a field",
-            )
-        const = _resolve_constant(s, cset.hausdorff_dim, args.override)
-        design = design_field(cset, rho, s, c_sd=const)
-    except ValueError as e:
-        raise CliError(EXIT_CONFIG, str(e)) from e
-
+    rho = density_from_descriptor(rho_desc, cset)
+    total = integrate_adaptive(cset, rho.evaluate, breaks=rho.breaks, tol=1e-12)
+    if abs(total - 1.0) > 1e-4:
+        raise CliError(
+            EXIT_CONFIG,
+            f"target density integrates to {total:.6g}; normalize it to unit "
+            f"mass (tolerance 1e-4) before designing a field",
+        )
+    const = riesz_constant(s, cset.hausdorff_dim, args.override)
+    design = design_field(cset, rho, s, c_sd=const)
     measure = _solve_measure(cset, design.q, s, const)
     target = np.asarray(design.target_density.evaluate(cset.nodes), dtype=float)
     got = measure.density(cset.nodes)
@@ -333,7 +313,7 @@ def cmd_design(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    const = _resolve_constant(args.s, args.d, args.override)
+    const = riesz_constant(args.s, args.d, args.override)
     out = {("value" if key == "c_sd" else key): v for key, v in _constants(const).items()}
     print(json.dumps(out, indent=2))
     return 0

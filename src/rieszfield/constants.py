@@ -93,9 +93,11 @@ def riesz_constant(s: float, d: int, override: float | None = None) -> RieszCons
     volume).  For d = 2, s > 2 the conjectured triangular-lattice value
     ``HEX_CELL_AREA**(s/2) * epstein_zeta_hex(s)`` is returned, flagged
     through ``provenance``.  Any other combination raises unless
-    ``override`` supplies the constant.
+    ``override`` supplies the constant; a non-finite s always raises.
     """
     s = float(s)
+    if not math.isfinite(s):
+        raise ValueError(f"s must be finite, got {s!r}")
     d = int(d)
     if d < 1:
         raise ValueError("d must be a positive integer")

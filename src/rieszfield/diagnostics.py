@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -24,7 +23,6 @@ from .optimizer import Configuration, _min_distance, energy, tau
 
 __all__ = [
     "DiagnosticsReport",
-    "CoveringEstimate",
     "separation",
     "covering_radius",
     "containment_check",
@@ -47,11 +45,6 @@ def separation(config: Configuration) -> float:
     return _min_distance(config.points)
 
 
-class CoveringEstimate(NamedTuple):
-    value: float
-    fill: float  # mesh fill distance: the resolution error bar
-
-
 def _filter_mesh(mesh_points, qv, threshold):
     # the mesh points of the sublevel set {q <= threshold}, given the
     # field values qv on the mesh
@@ -61,15 +54,15 @@ def _filter_mesh(mesh_points, qv, threshold):
     return kept
 
 
-def covering_radius(config: Configuration, mesh) -> CoveringEstimate:
+def covering_radius(config: Configuration, mesh) -> float:
     """Largest distance from a mesh point to the configuration.
 
     ``mesh`` is (points, fill) as returned by CompactSet.mesh(), or a
-    subset of its points with the same fill.
+    subset of its points with the same fill; the fill, the resolution
+    error bar of the estimate, is the caller's to report.
     """
-    pts, fill = mesh
-    dists, _ = cKDTree(config.points).query(pts)
-    return CoveringEstimate(float(dists.max()), float(fill))
+    dists, _ = cKDTree(config.points).query(mesh[0])
+    return float(dists.max())
 
 
 def containment_check(config: Configuration, fld, l1: float) -> float:
@@ -164,20 +157,16 @@ def density_table_average(measure, table: dict) -> np.ndarray:
     return measure.density(table["centers"])
 
 
-def write_density_csv(table: dict, path, equilibrium: np.ndarray | None = None) -> None:
+def write_density_csv(table: dict, path, equilibrium: np.ndarray) -> None:
+    """The empirical table beside ``equilibrium``, the equilibrium
+    density averaged over its bins (density_table_average)."""
     centers = np.atleast_2d(table["centers"])
-    header = [f"x{i + 1}" for i in range(centers.shape[1])] + ["count", "empirical_density"]
-    if equilibrium is not None:
-        header.append("equilibrium_density")
+    header = [f"x{i + 1}" for i in range(centers.shape[1])]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(header)
-        for i in range(len(centers)):
-            row = [f"{c:.17g}" for c in centers[i]]
-            row += [str(int(table["count"][i])), f"{table['density'][i]:.17g}"]
-            if equilibrium is not None:
-                row.append(f"{equilibrium[i]:.17g}")
-            w.writerow(row)
+        w.writerow(header + ["count", "empirical_density", "equilibrium_density"])
+        for x, count, rho, eq in zip(centers, table["count"], table["density"], equilibrium, strict=True):
+            w.writerow([f"{c:.17g}" for c in x] + [str(int(count)), f"{rho:.17g}", f"{eq:.17g}"])
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +294,9 @@ def build_report(
     sep = separation(config)
     return DiagnosticsReport(
         separation=sep,
-        covering_radius=cov.value,
-        covering_fill=cov.fill,
-        mesh_ratio=cov.value / sep,
+        covering_radius=cov,
+        covering_fill=float(fill),
+        mesh_ratio=cov / sep,
         energy_ratio=energy_ratio(config, fld, s),
         s_predicted=measure.s_value,
         weak_star_errors=[[label, err] for label, err in weak_star_error(config, measure)],

@@ -204,7 +204,6 @@ class FieldDesign:
     target_density: DensityMap
     m_constant: float
     q: ExternalField
-    d: int
     renormalized: bool = False
 
 
@@ -251,7 +250,7 @@ def design_field(cset: CompactSet, rho, s: float, c_sd=None) -> FieldDesign:
         return -M * np.asarray(_f(X), dtype=float) ** ratio
 
     q = ExternalField(q_eval, None, label=f"designed({rho.label or 'rho'})", breaks=rho.breaks)
-    return FieldDesign(rho_n, M, q, d, renorm)
+    return FieldDesign(rho_n, M, q, renorm)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +282,7 @@ def perturbed_density(cset: CompactSet, rho, s: float, delta: float) -> Perturbe
     density supported on all of the set.
     """
     design = design_field(cset, rho, s)
-    d, M, ratio = design.d, design.m_constant, s / cset.hausdorff_dim
+    d, M, ratio = cset.hausdorff_dim, design.m_constant, s / cset.hausdorff_dim
     vals = np.asarray(design.target_density.evaluate(cset.nodes), dtype=float)
     rho_min = float(vals.min())
     rho_max = float(vals.max())

@@ -45,11 +45,16 @@ __all__ = [
 
 
 class OptimizerFailure(RuntimeError):
-    """All restarts failed; carries the per-restart traces."""
+    """All restarts failed to produce a finite energy."""
 
-    def __init__(self, message, traces):
-        super().__init__(message)
-        self.traces = traces
+
+def _whole(value, key: str) -> int:
+    """A count from a setting or config as an int; anything but a whole
+    number (bools included) raises ValueError naming ``key``."""
+    whole = isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not whole:
+        raise ValueError(f"{key} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def tau(s: float, d: int, N: int) -> float:
@@ -87,14 +92,10 @@ class OptimizerSettings:
     init: str = "weighted"  # weighted | density | stratified
 
     def __post_init__(self):
-        for key in ("max_iters", "restarts", "rng_seed"):  # whole numbers only
-            value = getattr(self, key)
-            whole = isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
-            if isinstance(value, bool) or not whole:
-                raise ValueError(f"{key} must be a whole number, got {value!r}")
-            setattr(self, key, int(value))
-        if self.max_iters <= 0 or self.restarts <= 0 or self.grad_tol <= 0:
-            raise ValueError("max_iters, restarts, grad_tol must be positive")
+        for key in ("max_iters", "restarts", "rng_seed"):
+            setattr(self, key, _whole(getattr(self, key), key))
+        if self.max_iters <= 0 or self.restarts <= 0 or not 0 < self.grad_tol < math.inf:
+            raise ValueError("max_iters and restarts must be positive, grad_tol positive and finite")
         if self.init not in ("weighted", "density", "stratified"):
             raise ValueError(f"unknown init mode {self.init!r}")
 
@@ -276,7 +277,6 @@ class MinimizeResult:
     energy: float
     trace: np.ndarray  # columns: iter, energy, grad_norm, step
     converged: bool
-    restart_index: int
     grad_norm: float
 
 
@@ -351,7 +351,6 @@ def minimize(
     gtol = settings.grad_tol * float(N) ** (1.0 + s / d) * cset.diameter ** (-s - 1.0)
 
     best = None
-    traces = []
     for r in range(settings.restarts):
         rng = np.random.default_rng([settings.rng_seed, r])
         for _ in range(100):
@@ -360,10 +359,8 @@ def minimize(
             if np.isfinite(E):
                 break
         else:
-            traces.append(np.zeros((0, 4)))
             continue
         X, trace, converged, gn = _descend(cset, fld, s, X, E, G, settings.max_iters, step_init, gtol)
-        traces.append(trace)
         E = energy(Configuration(X, cset), fld, s)
         if np.isfinite(E) and (best is None or E < best.energy):
             best = MinimizeResult(
@@ -371,11 +368,10 @@ def minimize(
                 energy=E,
                 trace=trace,
                 converged=converged,
-                restart_index=r,
                 grad_norm=gn,
             )
     if best is None:
-        raise OptimizerFailure("all restarts failed to produce finite energy", traces)
+        raise OptimizerFailure("all restarts failed to produce finite energy")
     return best
 
 

@@ -264,7 +264,7 @@ def test_criterion_7_structural_properties(interval01, interval02, sphere, torus
                 measure=measure_e,
             )
             sep_n[n] = separation(res.config) * n
-            cov_n[n] = covering_radius(res.config, interior).value * n
+            cov_n[n] = covering_radius(res.config, interior) * n
         assert max(sep_n.values()) / min(sep_n.values()) <= 2.0, sep_n
         assert max(cov_n.values()) / min(cov_n.values()) <= 2.0, cov_n
 

@@ -67,7 +67,7 @@ def test_positional_call_shapes():
     kept, labels = diagnostics.sublevel_components(cset, mesh, ramp, 0.5)
     assert len(kept) == len(labels) and kept.max() <= 0.5
     config = optimizer.Configuration(np.array([[0.0], [1.0]]), cset)
-    assert diagnostics.covering_radius(config, mesh).value == 0.5
+    assert diagnostics.covering_radius(config, mesh) == 0.5
 
 
 def test_export_call_shape(tmp_path):

@@ -66,6 +66,12 @@ def test_constants_subcritical(capsys):
     assert "hypersingular regime requires s >= d" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [["--s", "inf"], ["--s", "nan", "--override", "2"]])
+def test_constants_non_finite_s(capsys, extra):
+    assert cli.main(["constants", "--d", "1", *extra]) == 2
+    assert "s must be finite" in capsys.readouterr().err
+
+
 def test_solve_end_to_end(tmp_path, capsys, validate_report_schema):
     out = tmp_path / "run"
     code = cli.main(["solve", _tiny_config(tmp_path), "--out", str(out)])
@@ -163,6 +169,7 @@ def test_solve_bad_settings(tmp_path, capsys):
         ({"n": 20.7}, "n"),
         ({"settings": {"max_iters": 10.5, "restarts": 1}}, "max_iters"),
         ({"settings": {"max_iters": 60, "restarts": 1.5}}, "restarts"),
+        ({"seed": 0.5}, "seed"),
     ],
 )
 def test_solve_rejects_fractional_count(tmp_path, capsys, monkeypatch, overrides, key):
@@ -173,6 +180,18 @@ def test_solve_rejects_fractional_count(tmp_path, capsys, monkeypatch, overrides
     cfg = _tiny_config(tmp_path, **overrides)
     assert cli.main(["solve", cfg, "--out", str(tmp_path / "run")]) == 2
     assert f"{key} must be a whole number" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_solve_rejects_non_finite_s(tmp_path, capsys, monkeypatch):
+    # an infinite s passes the s >= d check; the equilibrium solve would hang
+    def no_solve(*a, **kw):
+        raise AssertionError("the solve started before validation")
+
+    monkeypatch.setattr(cli, "solve_equilibrium", no_solve)
+    cfg = _tiny_config(tmp_path, s=math.inf)
+    assert cli.main(["solve", cfg, "--out", str(tmp_path / "run")]) == 2
+    assert "s must be finite" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 

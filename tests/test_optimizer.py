@@ -296,6 +296,10 @@ def test_settings_validation():
         OptimizerSettings(max_iters=0)
     with pytest.raises(ValueError):
         OptimizerSettings(init="sobol")
+    # an infinite tolerance converges at once, a nan one never
+    for tol in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="grad_tol"):
+            OptimizerSettings(grad_tol=tol)
     # counts must be whole numbers; the error names the key
     for key, value in (("max_iters", 10.5), ("restarts", 1.5), ("rng_seed", 0.25),
                        ("max_iters", "10"), ("restarts", True)):
