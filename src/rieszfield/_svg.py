@@ -71,9 +71,10 @@ def project_points(X: np.ndarray) -> np.ndarray:
     return X[:, :2]
 
 
-def support_contour(cset, measure) -> np.ndarray:
-    """Ambient midpoints of parameter-grid edges where the equilibrium
-    density turns positive; projected, they trace the support boundary."""
+def support_contour(measure) -> np.ndarray:
+    """Ambient midpoints of parameter-grid edges where the density of
+    ``measure`` turns positive; projected, they trace its support boundary."""
+    cset = measure.set
     dim = len(cset.param_bounds)
     res = _CONTOUR_RES[dim]
     grids = [np.linspace(a, b, res) for a, b in cset.param_bounds]

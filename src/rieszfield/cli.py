@@ -112,7 +112,7 @@ def _solve_measure(cset, fld, s, const):
     return measure
 
 
-def _write_run(out_dir: Path, result, measure, cset, fld, report_dict, table, eq):
+def _write_run(out_dir: Path, result, measure, report_dict, table, eq):
     """Write the five run artifacts; returns the file manifest.
 
     ``table`` is the run's empirical density table and ``eq`` the
@@ -126,8 +126,8 @@ def _write_run(out_dir: Path, result, measure, cset, fld, report_dict, table, eq
     scatter_svg(
         out_dir / "scatter.svg",
         project_points(X),
-        support_contour(cset, measure),
-        title=fld.label or "configuration",
+        support_contour(measure),
+        title=measure.field.label or "configuration",
     )
     report_dict["files"] = list(_REPORT_FILES)
     with open(out_dir / "report.json", "w") as fh:
@@ -150,7 +150,7 @@ def _run(cset, fld, s, n, const, settings, out_dir, label, entry=None):
     report = diagnostics.build_report(result.config, fld, s, measure)
     table = diagnostics.empirical_density(result.config)
     eq = diagnostics.density_table_average(measure, table)
-    comparison = None if entry is None else _compare(entry, fld, measure, result.config, report, table, eq)
+    comparison = None if entry is None else _compare(entry, measure, result.config, report, table, eq)
     t_diagnostics = time.perf_counter()
     report_dict = {
         "label": label,
@@ -166,7 +166,7 @@ def _run(cset, fld, s, n, const, settings, out_dir, label, entry=None):
         "energy_over_tau": result.energy / tau(s, cset.hausdorff_dim, n),
         "converged": result.converged,
         "grad_norm": result.grad_norm,
-        "iterations": int(result.trace[-1, 0]) + 1 if len(result.trace) else 0,
+        "iterations": len(result.trace),
         "diagnostics": report.to_dict(),
         "comparison": comparison,
     }
@@ -176,7 +176,7 @@ def _run(cset, fld, s, n, const, settings, out_dir, label, entry=None):
         "diagnostics_s": t_diagnostics - t_minimize,
     }
     report_dict["wall_time_s"] = time.perf_counter() - t0
-    _write_run(Path(out_dir), result, measure, cset, fld, report_dict, table, eq)
+    _write_run(Path(out_dir), result, measure, report_dict, table, eq)
     print(f"L1 = {measure.l1:.9g}   S(q, A) = {measure.s_value:.9g}")
     print(
         f"N = {n}   energy = {result.energy:.9g}   "
@@ -236,18 +236,18 @@ def _check(window, computed):
     return check | {"within": bool(within)}
 
 
-def _compare(entry, fld, measure, config, report, table, eq):
+def _compare(entry, measure, config, report, table, eq):
     """The run's numbers against the published windows of ``entry``;
     ``table`` and ``eq`` are the empirical and equilibrium densities."""
     pub = entry["published"]
     computed = {
         "separation": report.separation,
-        "void_avoidance": float(np.max(fld.evaluate(config.points))),
+        "void_avoidance": float(np.max(measure.field.evaluate(config.points))),
         "histogram_sup_dev": float(np.max(np.abs(table["density"] - eq))),
     }
     if "mesh_ratio_mid" in pub:
         ratios = diagnostics.region_mesh_ratios(
-            config, fld, measure.l1, report.separation, config.cset.mesh()[0], report.mesh_values
+            config, measure.field, measure.l1, report.separation, measure.set.mesh()[0], report.mesh_values
         )
         computed |= {f"mesh_ratio_{name}": ratio for name, ratio in ratios.items()}
     checks = {name: _check(window, computed[name]) for name, window in pub.items()}

@@ -119,7 +119,10 @@ def riesz_constant(s: float, d: int, override: float | None = None) -> RieszCons
 
 
 def m_constant(s: float, d: int, constant: RieszConstant | None = None) -> float:
-    """Field design coefficient M(s, d) = C(s, d) * (1 + s/d)."""
+    """Field design coefficient M(s, d) = C(s, d) * (1 + s/d); a
+    ``constant`` computed for another (s, d) raises ValueError."""
     if constant is None:
         constant = riesz_constant(s, d)
+    if (constant.s, constant.d) != (float(s), int(d)):
+        raise ValueError(f"C(s, d) was computed for (s, d) = ({constant.s:g}, {constant.d}), not ({s:g}, {d})")
     return constant.value * (1.0 + float(s) / int(d))

@@ -82,12 +82,19 @@ def energy_ratio(config: Configuration, fld, s: float) -> float:
 # empirical density
 
 
+# equilibrium density samples per interval bin or sphere band (per azimuth)
+_SAMPLES_PER_BIN = 512
+
+
 def empirical_density(config: Configuration) -> dict:
     """Binned density of the configuration, normalized to unit mass.
 
     Intervals get ceil(sqrt(N)) equal-width bins; spheres get that many
     equal-area latitudinal bands; any other set is counted per
     quadrature cell (nearest-node assignment, count over N*weight).
+    ``samples`` (bins x points per bin x ambient dim) holds the points
+    each bin's equilibrium density is averaged over: 512 per interval
+    bin, 8 azimuths x 512 heights per sphere band, a cell's node.
     """
     cset = config.cset
     X = config.points
@@ -99,62 +106,43 @@ def empirical_density(config: Configuration) -> dict:
         counts, _ = np.histogram(X[:, 0], bins=edges)
         width = edges[1] - edges[0]
         return {
-            "kind": "interval_bins",
-            "edges": edges,
             "centers": 0.5 * (edges[:-1] + edges[1:])[:, None],
             "count": counts,
             "density": counts / (N * width),
+            "samples": np.linspace(edges[:-1], edges[1:], _SAMPLES_PER_BIN, axis=1)[:, :, None],
         }
     if cset.kind == "sphere":
         r = cset.params["radius"]
         edges = np.linspace(-r, r, k + 1)
-        z = X[:, 2]
-        counts, _ = np.histogram(z, bins=edges)
+        counts, _ = np.histogram(X[:, 2], bins=edges)
         areas = 2.0 * np.pi * r * np.diff(edges)  # equal-height zones have equal area
         centers = np.zeros((k, 3))
         centers[:, 2] = 0.5 * (edges[:-1] + edges[1:])
+        # chart parameters (z / r, phi), azimuth-major within each band
+        Z = np.linspace(edges[:-1], edges[1:], _SAMPLES_PER_BIN, axis=1) / r
+        PH = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
+        P = np.stack(np.broadcast_arrays(Z[:, None, :], PH[None, :, None]), axis=-1)
         return {
-            "kind": "sphere_bands",
-            "edges": edges,
             "centers": centers,
             "count": counts,
             "density": counts / (N * areas),
+            "samples": cset.chart(P.reshape(-1, 2)).reshape(k, -1, 3),
         }
     idx = cKDTree(cset.nodes).query(X)[1]
     counts = np.bincount(idx, minlength=len(cset.nodes))
     return {
-        "kind": "quadrature_cells",
         "centers": cset.nodes,
         "count": counts,
         "density": counts / (N * cset.weights),
+        "samples": cset.nodes[:, None, :],
     }
-
-
-# equilibrium density samples per interval bin or sphere band (per azimuth)
-_SAMPLES_PER_BIN = 512
 
 
 def density_table_average(measure, table: dict) -> np.ndarray:
     """Equilibrium density averaged over the bins of an empirical table,
     for like-for-like histogram comparisons."""
-    kind = table["kind"]
-    if kind == "interval_bins":
-        edges = table["edges"]
-        out = np.empty(len(edges) - 1)
-        for i in range(len(out)):
-            xs = np.linspace(edges[i], edges[i + 1], _SAMPLES_PER_BIN)[:, None]
-            out[i] = measure.density(xs).mean()
-        return out
-    if kind == "sphere_bands":
-        edges = table["edges"]
-        r = measure.set.params["radius"]
-        phis = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
-        out = np.empty(len(edges) - 1)
-        for i in range(len(out)):
-            Z, PH = np.meshgrid(np.linspace(edges[i], edges[i + 1], _SAMPLES_PER_BIN) / r, phis)
-            out[i] = measure.density(measure.set.chart(np.column_stack([Z.ravel(), PH.ravel()]))).mean()
-        return out
-    return measure.density(table["centers"])
+    k, m, p = table["samples"].shape
+    return measure.density(table["samples"].reshape(-1, p)).reshape(k, m).mean(axis=1)
 
 
 def write_density_csv(table: dict, path, equilibrium: np.ndarray) -> None:

@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constants import RieszConstant, m_constant, riesz_constant
+from .constants import RieszConstant, m_constant
 from .geometry import CompactSet, _grid
 
 __all__ = [
@@ -367,8 +367,6 @@ def solve_equilibrium(
     s = float(s)
     if s < d:
         raise ValueError("hypersingular regime requires s >= d")
-    if c_sd is None:
-        c_sd = riesz_constant(s, d)
     M = m_constant(s, d, c_sd)
     e = d / s
     scale = M * max(cset.total_measure, 1e-300) ** (-s / d)

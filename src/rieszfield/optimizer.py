@@ -281,40 +281,35 @@ class MinimizeResult:
 
 
 def _descend(cset, fld, s, X, E, G, max_iters, step_init, gtol):
-    # (E, G) belong to X on entry; each trial is one pair pass that gives
-    # its energy and gradient, and an accepted trial's are the next
-    # iteration's.  Exact coincidence in a trial (e.g. two points clamped
-    # to the same interval endpoint) is infinite energy, not an error.
+    # (E, G) belong to X on entry and on return (X, G, trace, converged);
+    # each trial is one pair pass that gives its energy and gradient, and
+    # an accepted trial's are the next iteration's.  Exact coincidence in
+    # a trial (e.g. two points clamped to the same interval endpoint) is
+    # infinite energy, not an error.
     step = step_init
     rows = []
-    converged = False
-    gn = np.inf
     for it in range(max_iters):
         gn = float(np.linalg.norm(G))
         rows.append((it, E, gn, step))
         if gn < gtol:
-            converged = True
-            break
-        accepted = False
+            return X, G, np.asarray(rows, dtype=float), True
         for _ in range(60):
             X1 = cset.retract(X - step * G)
             # Armijo on the realized displacement: equals step*|grad|^2 in
             # the interior and drops components absorbed by the retraction
             # (points pinned at an interval endpoint must not block it)
             dn2 = float(((X - X1) ** 2).sum())
-            if dn2 == 0.0:
-                converged = True  # retraction absorbs the whole step
-                break
+            if dn2 == 0.0:  # the retraction absorbs the whole step
+                return X, G, np.asarray(rows, dtype=float), True
             E1, _, G1 = _objective(X1, cset, fld, s, gradient="finite")
             if np.isfinite(E1) and E - E1 >= _ARMIJO_C * dn2 / step:
                 X, E, G = X1, E1, G1
                 step = min(step * 2.0, 1e6 * step_init)
-                accepted = True
                 break
             step *= _ARMIJO_SHRINK
-        if not accepted:
-            break  # stationary under projection, or line search exhausted
-    return X, np.asarray(rows, dtype=float), converged, gn
+        else:
+            break  # the line search ran out
+    return X, G, np.asarray(rows, dtype=float), False
 
 
 def minimize(
@@ -339,9 +334,10 @@ def minimize(
     tangential gradient norm drops below grad_tol * N^(1+s/d) /
     diameter^(s+1), when the retraction absorbs the whole step, when 60
     trials find no decrease, or after max_iters iterations.  The restart
-    with the lowest finite energy is returned, its energy from one
-    ``energy`` call on the final points; OptimizerFailure is raised when
-    none has one.
+    with the lowest finite energy is returned: the descent's final
+    points, their energy from one ``energy`` call, and grad_norm, the
+    tangent gradient norm at those points.  OptimizerFailure is raised
+    when no restart has a finite energy.
     """
     if N < 2:
         raise ValueError("minimization needs at least two points")
@@ -360,16 +356,11 @@ def minimize(
                 break
         else:
             continue
-        X, trace, converged, gn = _descend(cset, fld, s, X, E, G, settings.max_iters, step_init, gtol)
-        E = energy(Configuration(X, cset), fld, s)
+        X, G, trace, converged = _descend(cset, fld, s, X, E, G, settings.max_iters, step_init, gtol)
+        config = Configuration(X, cset)
+        E = energy(config, fld, s)
         if np.isfinite(E) and (best is None or E < best.energy):
-            best = MinimizeResult(
-                config=Configuration(cset.retract(X), cset),
-                energy=E,
-                trace=trace,
-                converged=converged,
-                grad_norm=gn,
-            )
+            best = MinimizeResult(config, E, trace, converged, float(np.linalg.norm(G)))
     if best is None:
         raise OptimizerFailure("all restarts failed to produce finite energy")
     return best
@@ -379,9 +370,8 @@ def write_trace_csv(trace: np.ndarray, path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["iter", "energy", "grad_norm", "step"])
-        for row in np.atleast_2d(trace):
-            if row.size:
-                w.writerow([f"{int(row[0])}", f"{row[1]:.17g}", f"{row[2]:.17g}", f"{row[3]:.17g}"])
+        for row in trace:
+            w.writerow([f"{int(row[0])}", f"{row[1]:.17g}", f"{row[2]:.17g}", f"{row[3]:.17g}"])
 
 
 def write_points_csv(points: np.ndarray, path) -> None:

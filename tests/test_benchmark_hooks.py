@@ -80,7 +80,7 @@ def test_export_call_shape(tmp_path):
     table = diagnostics.empirical_density(result.config)
     eq = diagnostics.density_table_average(measure, table)
     out_dir = tmp_path / "run"
-    files = cli._write_run(out_dir, result, measure, cset, zero, {}, table, eq)
+    files = cli._write_run(out_dir, result, measure, {}, table, eq)
     assert sorted(files) == sorted(os.listdir(out_dir))
 
 

@@ -389,10 +389,10 @@ def test_void_check_holds_at_equality():
     level = 0.127
     entry = {"published_n": 4, "published": {"void_avoidance": {"value": level}}}
     config = types.SimpleNamespace(points=np.zeros((4, 1)), n=4)
-    flat = types.SimpleNamespace(evaluate=lambda X: np.full(len(X), level))
+    measure = types.SimpleNamespace(field=types.SimpleNamespace(evaluate=lambda X: np.full(len(X), level)))
     report = types.SimpleNamespace(separation=0.5)
     table = {"density": np.ones(2)}
-    comparison = cli._compare(entry, flat, None, config, report, table, np.ones(2))
+    comparison = cli._compare(entry, measure, config, report, table, np.ones(2))
     assert comparison["checks"] == {"void_avoidance": {"published": level, "computed": level, "within": True}}
     assert comparison["all_within"] is True
 

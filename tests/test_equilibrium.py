@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rieszfield import equilibrium
-from rieszfield.constants import m_constant, zeta
+from rieszfield.constants import m_constant, riesz_constant, zeta
 from rieszfield.equilibrium import (
     EquilibriumError,
     _brent_l1,
@@ -208,6 +208,15 @@ def test_partially_infinite_field(interval02):
     assert m.l1 == pytest.approx(m_constant(4.0, 1), rel=1e-10)
     assert abs(m.mass - 1.0) < 1e-10
     assert m.density(np.array([[1.5]]))[0] == 0.0
+
+
+def test_constant_for_another_s_d_rejected(interval02, sphere):
+    # a C(2, 1) passed for s = 4 would solve to L1 = 6.4294, not L1_QE
+    with pytest.raises(ValueError, match=r"computed for \(s, d\) = \(2, 1\), not \(4, 1\)"):
+        solve_equilibrium(interval02, catalog("e"), 4.0, c_sd=riesz_constant(2.0, 1))
+    with pytest.raises(ValueError, match=r"not \(2, 2\)"):
+        solve_equilibrium(sphere, ZERO, 2.0, c_sd=riesz_constant(2.0, 1))
+    assert m_constant(4, 1, riesz_constant(4.0, 1)) == m_constant(4.0, 1)
 
 
 def test_integrate_adaptive(interval02):

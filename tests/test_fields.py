@@ -195,6 +195,10 @@ def test_density_descriptors(interval02, sphere):
     tq = density_from_descriptor({"kind": "truncated_quadratic"}, interval02)
     assert tq.evaluate(np.array([[0.5]]))[0] == pytest.approx(1.0, rel=1e-14)
     assert tq.evaluate(np.array([[1.2]]))[0] == 0.0
+    ramp = {"kind": "expression", "terms": [{"type": "polynomial", "coeffs": [0.0, 0.5]}]}
+    expr = density_from_descriptor(ramp, interval02)
+    assert expr.label == "expression"
+    assert expr.evaluate(np.array([[1.5]]))[0] == 0.75
     with pytest.raises(ValueError, match="unknown density"):
         density_from_descriptor({"kind": "gaussian"}, interval02)
     with pytest.raises(ValueError, match="halfwidth"):

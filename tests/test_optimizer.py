@@ -161,12 +161,17 @@ def _counted_cdist(monkeypatch):
     return rows
 
 
-@pytest.mark.parametrize("shift", [0.0, 1e3])
-def test_multiblock_gram_path_needs_no_fallback(shift, monkeypatch):
-    # Fibonacci points on the unit sphere, spacing ~0.08: no off-diagonal
-    # entry is under the cut once the coordinates are centred, however far
-    # the set sits from the origin
-    n = 2000
+# n = 1141 = 10 * 114 + 1 leaves the last row block one point, with no
+# pair inside the block; its gradient is checked against the dense formula
+@pytest.mark.parametrize(
+    "n, shift",
+    [pytest.param(2000, shift, id=f"{shift}") for shift in (0.0, 1e3)]
+    + [pytest.param(1141, shift, id=f"n1141-{shift}") for shift in (0.0, 1e3)],
+)
+def test_multiblock_gram_path_needs_no_fallback(n, shift, monkeypatch):
+    # Fibonacci points on the unit sphere, spacing ~0.08 at n = 2000: no
+    # off-diagonal entry is under the cut once the coordinates are
+    # centred, however far the set sits from the origin
     k = np.arange(n) + 0.5
     z = 1.0 - 2.0 * k / n
     phi = np.pi * (1.0 + 5.0**0.5) * k
@@ -174,9 +179,13 @@ def test_multiblock_gram_path_needs_no_fallback(shift, monkeypatch):
     X = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z]) + shift
     assert n > _BLOCK_ENTRIES // n  # several row blocks
     rows = _counted_cdist(monkeypatch)
-    pair = optimizer._pair_kernel(X, 4.0)[0]
+    pair, _, G = optimizer._pair_kernel(X, 4.0, gradient=(n == 1141))
     assert rows == []
     assert pair == pytest.approx(2.0 * float((pdist(X) ** -4.0).sum()), rel=1e-12)
+    if G is not None:
+        assert n % (_BLOCK_ENTRIES // n) == 1  # the last row block holds one point
+        ref = _dense_pair_gradient(X, 4.0)
+        assert float((np.linalg.norm(G - ref, axis=1) / np.linalg.norm(ref, axis=1)).max()) < 1e-9
 
 
 @pytest.mark.parametrize("kind", ["sphere", "torus24"])
@@ -376,18 +385,20 @@ def _reference_minimize(cset, fld, s, N, settings):
         else:
             continue
         E = trial_energy(X)
-        step, rows = step_init, []
+        step, rows, converged = step_init, [], False
         for it in range(settings.max_iters):
             G = energy_gradient(Configuration(X, cset), fld, s)
             gn = float(np.linalg.norm(G))
             rows.append((it, E, gn, step))
             if gn < gtol:
+                converged = True
                 break
             accepted = False
             for _ in range(60):
                 X1 = cset.retract(X - step * G)
                 dn2 = float(((X - X1) ** 2).sum())
                 if dn2 == 0.0:
+                    converged = True
                     break
                 E1 = trial_energy(X1)
                 if np.isfinite(E1) and E - E1 >= 1e-4 * dn2 / step:
@@ -399,7 +410,7 @@ def _reference_minimize(cset, fld, s, N, settings):
             if not accepted:
                 break
         if np.isfinite(E) and (best is None or E < best[1]):
-            best = (cset.retract(X), E, np.asarray(rows, dtype=float))
+            best = (X, E, np.asarray(rows, dtype=float), converged)
     return best
 
 
@@ -417,18 +428,26 @@ def _pinned_count(points, cset):
         ("interval01", None, 2.0, 12, OptimizerSettings(restarts=2, max_iters=300), True),
         ("sphere", "a", 2.0, 60, OptimizerSettings(restarts=2, max_iters=40, rng_seed=5), False),
         ("torus24", "c", 8.0, 50, OptimizerSettings(restarts=1, max_iters=40), False),
+        # meets grad_tol in 23 iterations: on the sphere the retraction
+        # never absorbs a tangent step, so this is the grad_tol stop
+        ("sphere", None, 2.0, 4, OptimizerSettings(restarts=1, max_iters=200), False),
     ],
 )
 def test_minimize_matches_reference_descent(kind, field, s, N, settings, pinned, request):
     cset = request.getfixturevalue(kind)
     fld = ZERO if field is None else catalog(field)
     res = minimize(cset, fld, s, N, settings)
-    points, E, trace = _reference_minimize(cset, fld, s, N, settings)
+    points, E, trace, converged = _reference_minimize(cset, fld, s, N, settings)
     if pinned:  # the run exercises points held at an interval endpoint
         assert _pinned_count(points, cset) >= 2
     assert res.config.points.tobytes() == points.tobytes()
     assert res.trace.tobytes() == trace.tobytes()
     assert res.energy == E
+    assert res.converged == converged
+    if converged:
+        assert len(res.trace) < settings.max_iters
+    # the gradient norm of the returned points, not of the last logged row
+    assert res.grad_norm == np.linalg.norm(energy_gradient(res.config, fld, s))
 
 
 def test_one_pair_pass_per_trial(monkeypatch):
@@ -460,6 +479,6 @@ def test_one_pair_pass_per_trial(monkeypatch):
     res = minimize(cset, catalog("a"), 2.0, 40, OptimizerSettings(restarts=1, max_iters=30))
     assert len(res.trace) == 30
     assert passes["distance"] == 1  # one sample, no jitter retractions
-    trials = len(retractions) - 1  # the result's retraction is no trial
+    trials = len(retractions)
     assert trials >= len(res.trace)
     assert passes["pair"] == trials + 2
