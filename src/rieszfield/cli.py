@@ -164,9 +164,10 @@ def _run(cset, fld, s, n, const, settings, out_dir, label, entry=None):
         "solver_info": measure.solver_info,
         "energy": result.energy,
         "energy_over_tau": result.energy / tau(s, cset.hausdorff_dim, n),
-        "converged": result.converged,
+        "termination": result.termination,
         "grad_norm": result.grad_norm,
         "iterations": len(result.trace),
+        "trials": result.trials,
         "diagnostics": report.to_dict(),
         "comparison": comparison,
     }

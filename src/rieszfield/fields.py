@@ -84,30 +84,45 @@ def _z_coord(X):
     return X[:, 2] / np.where(n > 0, n, 1.0)
 
 
-def _qa_eval(X):
+# The polynomial fields write integer powers as products: numpy sends
+# u**k for k other than 2 to libm pow, which costs over ten times as much.
+
+
+def _t3_powers(X):
+    # z, the Chebyshev polynomial t = T_3(z) = 4 z^3 - 3 z, t^2, t^4 and t^8
     z = _z_coord(X)
-    return (4.0 * z**3 - 3.0 * z) ** 16
+    t = 4.0 * (z * z * z) - 3.0 * z
+    t2 = t * t
+    t4 = t2 * t2
+    return z, t, t2, t4, t4 * t4
+
+
+def _qa_eval(X):
+    t8 = _t3_powers(X)[4]
+    return t8 * t8
 
 
 def _z_chain(X, dz):
     # ambient gradient of q(z) from dq/dz, chain rule through z = x3/|x|
     n = np.linalg.norm(X, axis=1)
+    n3 = n * n * n
     out = np.empty_like(X)
-    out[:, 0] = dz * (-X[:, 2] * X[:, 0] / n**3)
-    out[:, 1] = dz * (-X[:, 2] * X[:, 1] / n**3)
-    out[:, 2] = dz * (1.0 / n - X[:, 2] ** 2 / n**3)
+    out[:, 0] = dz * (-X[:, 2] * X[:, 0] / n3)
+    out[:, 1] = dz * (-X[:, 2] * X[:, 1] / n3)
+    out[:, 2] = dz * (1.0 / n - X[:, 2] * X[:, 2] / n3)
     return out
 
 
 def _qa_grad(X):
-    z = _z_coord(X)
-    return _z_chain(X, 16.0 * (4.0 * z**3 - 3.0 * z) ** 15 * (12.0 * z * z - 3.0))
+    z, t, t2, t4, t8 = _t3_powers(X)
+    return _z_chain(X, 16.0 * (t8 * t4 * t2 * t) * (12.0 * z * z - 3.0))
 
 
 def _caps_raw(X):
     z = _z_coord(X)
-    t4 = 8.0 * z**4 - 8.0 * z * z + 1.0
-    return np.where(z * z > 0.5, (10.0 * t4 + 11.0) / (2.0 * np.pi), 1.0 / (2.0 * np.pi))
+    z2 = z * z
+    t4 = 8.0 * (z2 * z2) - 8.0 * z2 + 1.0
+    return np.where(z2 > 0.5, (10.0 * t4 + 11.0) / (2.0 * np.pi), 1.0 / (2.0 * np.pi))
 
 
 # total mass of the unnormalized polar-caps profile on the unit sphere
@@ -123,7 +138,7 @@ def _qb_eval(X):
 
 def _qb_grad(X):
     z = _z_coord(X)
-    draw = np.where(z * z > 0.5, 10.0 * (32.0 * z**3 - 16.0 * z) / (2.0 * np.pi), 0.0)
+    draw = np.where(z * z > 0.5, 10.0 * (32.0 * (z * z * z) - 16.0 * z) / (2.0 * np.pi), 0.0)
     return _z_chain(X, -2.0 * np.pi * draw / _CAPS_NORMALIZER)
 
 
@@ -161,16 +176,21 @@ def _qd_grad(X):
     return _QD1_GRAD(X) + _QD2_GRAD(X)
 
 
-def _qe_eval(X):
+def _qe_terms(X):
+    # u = x - 1.6 and v = x - 0.2 with u^2 and v^2
     x = np.atleast_2d(X)[:, 0]
-    return (x - 1.6) ** 4 + 40.0 * (x - 0.2) ** 4 * (x - 1.6) ** 2
+    u, v = x - 1.6, x - 0.2
+    return u, v, u * u, v * v
+
+
+def _qe_eval(X):
+    u, v, u2, v2 = _qe_terms(X)
+    return u2 * u2 + 40.0 * (v2 * v2) * u2
 
 
 def _qe_grad(X):
-    x = np.atleast_2d(X)[:, 0]
-    d = 4.0 * (x - 1.6) ** 3 + 40.0 * (
-        4.0 * (x - 0.2) ** 3 * (x - 1.6) ** 2 + 2.0 * (x - 0.2) ** 4 * (x - 1.6)
-    )
+    u, v, u2, v2 = _qe_terms(X)
+    d = 4.0 * (u2 * u) + 40.0 * (4.0 * (v2 * v) * u2 + 2.0 * (v2 * v2) * u)
     return d[:, None]
 
 

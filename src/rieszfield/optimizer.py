@@ -4,8 +4,9 @@ The discrete objective is the pair sum over ordered pairs |x-y|^(-s)
 plus the external-field term (tau/N) * sum q(x), with tau = N^(1+s/d)
 for s > d and N^2 ln N at s = d.  Minimization is multi-start projected
 gradient descent: Armijo backtracking on the energy, retraction to the
-set after every trial step, convergence once the tangential gradient
-norm falls under a scale-aware tolerance.  Each trial is one pass over
+set after every trial step, a step that doubles only after an iteration
+accepts its first trial, convergence once the tangential gradient norm
+falls under a scale-aware tolerance.  Each trial is one pass over
 the pairs that gives its energy and tangent gradient together, and an
 accepted trial's gradient starts the next iteration.  The pass walks
 row blocks; the distances from a block to later points come from one
@@ -276,40 +277,48 @@ class MinimizeResult:
     config: Configuration
     energy: float
     trace: np.ndarray  # columns: iter, energy, grad_norm, step
-    converged: bool
+    termination: str  # grad_tol | step_absorbed | line_search_exhausted | max_iters
     grad_norm: float
+    trials: int  # pair passes of the line searches
 
 
 def _descend(cset, fld, s, X, E, G, max_iters, step_init, gtol):
-    # (E, G) belong to X on entry and on return (X, G, trace, converged);
-    # each trial is one pair pass that gives its energy and gradient, and
-    # an accepted trial's are the next iteration's.  Exact coincidence in
-    # a trial (e.g. two points clamped to the same interval endpoint) is
-    # infinite energy, not an error.
+    # (E, G) belong to X on entry and on return (X, G, trace, termination,
+    # trials); each trial is one pair pass that gives its energy and
+    # gradient, and an accepted trial's are the next iteration's.  Exact
+    # coincidence in a trial (e.g. two points clamped to the same interval
+    # endpoint) is infinite energy, not an error.
     step = step_init
     rows = []
+    trials = 0
+
+    def stop(termination):
+        return X, G, np.asarray(rows, dtype=float), termination, trials
+
     for it in range(max_iters):
         gn = float(np.linalg.norm(G))
         rows.append((it, E, gn, step))
         if gn < gtol:
-            return X, G, np.asarray(rows, dtype=float), True
-        for _ in range(60):
+            return stop("grad_tol")
+        for k in range(60):
             X1 = cset.retract(X - step * G)
             # Armijo on the realized displacement: equals step*|grad|^2 in
             # the interior and drops components absorbed by the retraction
             # (points pinned at an interval endpoint must not block it)
             dn2 = float(((X - X1) ** 2).sum())
-            if dn2 == 0.0:  # the retraction absorbs the whole step
-                return X, G, np.asarray(rows, dtype=float), True
+            if dn2 == 0.0:
+                return stop("step_absorbed")
             E1, _, G1 = _objective(X1, cset, fld, s, gradient="finite")
+            trials += 1
             if np.isfinite(E1) and E - E1 >= _ARMIJO_C * dn2 / step:
                 X, E, G = X1, E1, G1
-                step = min(step * 2.0, 1e6 * step_init)
+                if k == 0:  # only a step accepted at its first trial doubles
+                    step = min(step * 2.0, 1e6 * step_init)
                 break
             step *= _ARMIJO_SHRINK
         else:
-            break  # the line search ran out
-    return X, G, np.asarray(rows, dtype=float), False
+            return stop("line_search_exhausted")
+    return stop("max_iters")
 
 
 def minimize(
@@ -326,18 +335,22 @@ def minimize(
     proportional to weight (or weight times equilibrium density for the
     density/stratified modes, which need ``measure``).  Each restart
     runs Armijo projected descent from the step diameter * N^(-1-s/d):
-    a trial step is halved until the energy falls by 1e-4 * |dx|^2 / step
-    and doubled after each accepted one.  Each trial is one pair pass that
-    gives its energy and gradient, and an accepted trial's gradient starts
-    the next iteration; the initial sample's pass, which checks that its
-    energy is finite, starts the first.  A restart stops when the
-    tangential gradient norm drops below grad_tol * N^(1+s/d) /
-    diameter^(s+1), when the retraction absorbs the whole step, when 60
-    trials find no decrease, or after max_iters iterations.  The restart
-    with the lowest finite energy is returned: the descent's final
-    points, their energy from one ``energy`` call, and grad_norm, the
-    tangent gradient norm at those points.  OptimizerFailure is raised
-    when no restart has a finite energy.
+    a trial step is halved until the energy falls by 1e-4 * |dx|^2 / step.
+    An iteration whose first trial is accepted doubles the step for the
+    next (up to 1e6 times the initial step); one that had to halve keeps
+    the step it accepted.  Each trial is one pair pass that gives its
+    energy and gradient, and an accepted trial's gradient starts the next
+    iteration; the initial sample's pass, which checks that its energy is
+    finite, starts the first.  A restart stops, and ``termination`` says
+    which way, when the tangential gradient norm drops below grad_tol *
+    N^(1+s/d) / diameter^(s+1) (``grad_tol``), when the retraction
+    absorbs the whole step (``step_absorbed``), when 60 trials find no
+    decrease (``line_search_exhausted``), or after max_iters iterations
+    (``max_iters``).  The restart with the lowest finite energy is
+    returned: the descent's final points, their energy from one
+    ``energy`` call, grad_norm, the tangent gradient norm at those
+    points, and trials, the pair passes of its line searches.
+    OptimizerFailure is raised when no restart has a finite energy.
     """
     if N < 2:
         raise ValueError("minimization needs at least two points")
@@ -356,11 +369,13 @@ def minimize(
                 break
         else:
             continue
-        X, G, trace, converged = _descend(cset, fld, s, X, E, G, settings.max_iters, step_init, gtol)
+        X, G, trace, termination, trials = _descend(
+            cset, fld, s, X, E, G, settings.max_iters, step_init, gtol
+        )
         config = Configuration(X, cset)
         E = energy(config, fld, s)
         if np.isfinite(E) and (best is None or E < best.energy):
-            best = MinimizeResult(config, E, trace, converged, float(np.linalg.norm(G)))
+            best = MinimizeResult(config, E, trace, termination, float(np.linalg.norm(G)), trials)
     if best is None:
         raise OptimizerFailure("all restarts failed to produce finite energy")
     return best

@@ -67,6 +67,77 @@ def test_qd_values():
     assert qd.evaluate(np.array([[1.0, 0.0, 0.0]]))[0] == np.inf
 
 
+def test_qe_values():
+    qe = catalog("e")
+    x = np.array([[1.6], [0.2], [0.0]])
+    expect = [0.0, 1.4**4, 1.6**4 + 40.0 * 0.2**4 * 1.6**2]
+    assert qe.evaluate(x) == pytest.approx(expect, rel=1e-14, abs=0.0)
+
+
+def _z(X):
+    return X[:, 2] / np.linalg.norm(X, axis=1)
+
+
+def _z_chain_pow(X, dz):
+    n = np.linalg.norm(X, axis=1)
+    return np.column_stack([
+        dz * (-X[:, 2] * X[:, 0] / n**3),
+        dz * (-X[:, 2] * X[:, 1] / n**3),
+        dz * (1.0 / n - X[:, 2] ** 2 / n**3),
+    ])
+
+
+def _caps_dz_pow(z):
+    return np.where(z * z > 0.5, 10.0 * (32.0 * z**3 - 16.0 * z) / (2.0 * np.pi), 0.0)
+
+
+def _caps_pow(z):
+    t4 = 8.0 * z**4 - 8.0 * z * z + 1.0
+    return np.where(z * z > 0.5, (10.0 * t4 + 11.0) / (2.0 * np.pi), 1.0 / (2.0 * np.pi))
+
+
+# the catalog fields a, b and e as written with ``**`` (libm pow)
+_POW_FIELDS = {
+    "a": (
+        lambda X: (4.0 * _z(X) ** 3 - 3.0 * _z(X)) ** 16,
+        lambda X: _z_chain_pow(
+            X, 16.0 * (4.0 * _z(X) ** 3 - 3.0 * _z(X)) ** 15 * (12.0 * _z(X) ** 2 - 3.0)
+        ),
+    ),
+    "b": (
+        lambda X: -2.0 * np.pi * _caps_pow(_z(X)) / _CAPS_NORMALIZER,
+        lambda X: _z_chain_pow(X, -2.0 * np.pi * _caps_dz_pow(_z(X)) / _CAPS_NORMALIZER),
+    ),
+    "e": (
+        lambda X: (X[:, 0] - 1.6) ** 4 + 40.0 * (X[:, 0] - 0.2) ** 4 * (X[:, 0] - 1.6) ** 2,
+        lambda X: (
+            4.0 * (X[:, 0] - 1.6) ** 3
+            + 40.0 * (
+                4.0 * (X[:, 0] - 0.2) ** 3 * (X[:, 0] - 1.6) ** 2
+                + 2.0 * (X[:, 0] - 0.2) ** 4 * (X[:, 0] - 1.6)
+            )
+        )[:, None],
+    ),
+}
+
+
+@pytest.mark.parametrize("example_id", sorted(_POW_FIELDS))
+def test_catalog_fields_match_pow_forms(example_id, rng):
+    # within 1e-13 of the largest value: pointwise, both forms cancel
+    # alike near roots of the polynomial in z (or of q_e'), where one ulp
+    # of z^3 moves the result by more than 1e-13 relative.  The sphere
+    # fields extend along rays, so points off the sphere test the chain
+    # rule's |x|^3.
+    if example_id == "e":
+        pts = rng.uniform(0.0, 2.0, size=(1000, 1))
+    else:
+        pts = rng.normal(size=(1000, 3))
+    fld = catalog(example_id)
+    for new, old in zip((fld.evaluate, fld.gradient), _POW_FIELDS[example_id]):
+        want = old(pts)
+        np.testing.assert_allclose(new(pts), want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+
 @pytest.mark.parametrize("example_id,maker", [("a", make_sphere), ("b", make_sphere), ("e", lambda: make_interval(0, 2))])
 def test_catalog_gradients_match_finite_differences(example_id, maker, rng):
     cset = maker()

@@ -241,7 +241,8 @@ def test_pair_kernel_memory_is_bounded(kernel, sphere):
 
 def test_minimize_two_points(interval01):
     res = minimize(interval01, ZERO, 2.0, 2, OptimizerSettings(restarts=1, max_iters=500))
-    assert res.converged
+    # both points pinned at the endpoints: no trial can move either
+    assert res.termination == "step_absorbed"
     assert np.allclose(np.sort(res.config.points[:, 0]), [0.0, 1.0], atol=1e-12)
 
 
@@ -263,6 +264,21 @@ def test_trace_monotone_and_shape(interval02, measure_e):
     # rows are logged at the top of each iteration, so the final energy
     # can only improve on the last logged one
     assert res.energy <= trace[-1, 1] * (1 + 1e-12)
+
+
+def test_step_doubles_only_after_first_trial_accept(interval02, measure_e):
+    # the trace logs each iteration's first trial step: a first-trial
+    # accept doubles it (up to the cap), an iteration that halved keeps
+    # the step it accepted, so no ratio lies strictly between 1/2 and 2
+    res = minimize(
+        interval02, catalog("e"), 4.0, 25,
+        OptimizerSettings(restarts=1, max_iters=300), measure=measure_e,
+    )
+    step = res.trace[:, 3]
+    cap = 1e6 * step[0]
+    ratio = step[1:] / step[:-1]
+    assert np.all((ratio == 2.0) | (ratio <= 0.5) | (step[1:] == cap))
+    assert np.any(ratio == 2.0) and np.any(ratio <= 0.5)  # both branches ran
 
 
 def test_minimize_deterministic(sphere, measure_a):
@@ -364,7 +380,8 @@ def test_csv_writers(tmp_path, interval01):
 def _reference_minimize(cset, fld, s, N, settings):
     # the descent before each trial returned its gradient: one
     # energy_gradient per iteration and one energy per trial, with the
-    # same samples, Armijo rule and step doubling as minimize
+    # same samples, Armijo rule and step rule as minimize (the step
+    # doubles only when an iteration's first trial is accepted)
     d = cset.hausdorff_dim
     step_init = cset.diameter * float(N) ** (-1.0 - s / d)
     gtol = settings.grad_tol * float(N) ** (1.0 + s / d) * cset.diameter ** (-s - 1.0)
@@ -385,32 +402,36 @@ def _reference_minimize(cset, fld, s, N, settings):
         else:
             continue
         E = trial_energy(X)
-        step, rows, converged = step_init, [], False
+        step, rows, termination, trials = step_init, [], "max_iters", 0
         for it in range(settings.max_iters):
             G = energy_gradient(Configuration(X, cset), fld, s)
             gn = float(np.linalg.norm(G))
             rows.append((it, E, gn, step))
             if gn < gtol:
-                converged = True
+                termination = "grad_tol"
                 break
             accepted = False
-            for _ in range(60):
+            for k in range(60):
                 X1 = cset.retract(X - step * G)
                 dn2 = float(((X - X1) ** 2).sum())
                 if dn2 == 0.0:
-                    converged = True
+                    termination = "step_absorbed"
                     break
                 E1 = trial_energy(X1)
+                trials += 1
                 if np.isfinite(E1) and E - E1 >= 1e-4 * dn2 / step:
                     X, E = X1, E1
-                    step = min(step * 2.0, 1e6 * step_init)
+                    if k == 0:
+                        step = min(step * 2.0, 1e6 * step_init)
                     accepted = True
                     break
                 step *= 0.5
+            else:
+                termination = "line_search_exhausted"
             if not accepted:
                 break
         if np.isfinite(E) and (best is None or E < best[1]):
-            best = (X, E, np.asarray(rows, dtype=float), converged)
+            best = (X, E, np.asarray(rows, dtype=float), termination, trials)
     return best
 
 
@@ -437,15 +458,23 @@ def test_minimize_matches_reference_descent(kind, field, s, N, settings, pinned,
     cset = request.getfixturevalue(kind)
     fld = ZERO if field is None else catalog(field)
     res = minimize(cset, fld, s, N, settings)
-    points, E, trace, converged = _reference_minimize(cset, fld, s, N, settings)
+    points, E, trace, termination, trials = _reference_minimize(cset, fld, s, N, settings)
     if pinned:  # the run exercises points held at an interval endpoint
         assert _pinned_count(points, cset) >= 2
     assert res.config.points.tobytes() == points.tobytes()
     assert res.trace.tobytes() == trace.tobytes()
     assert res.energy == E
-    assert res.converged == converged
-    if converged:
+    assert (res.termination, res.trials) == (termination, trials)
+    if termination == "max_iters":
+        assert len(res.trace) == settings.max_iters
+    else:
         assert len(res.trace) < settings.max_iters
+    if N == 700:
+        # the clumped init sample: every trial clamps two points onto one
+        # endpoint, so the restart ends in iteration 0
+        assert termination == "line_search_exhausted" and len(res.trace) == 1
+    if N == 4:
+        assert termination == "grad_tol"
     # the gradient norm of the returned points, not of the last logged row
     assert res.grad_norm == np.linalg.norm(energy_gradient(res.config, fld, s))
 
@@ -482,3 +511,4 @@ def test_one_pair_pass_per_trial(monkeypatch):
     trials = len(retractions)
     assert trials >= len(res.trace)
     assert passes["pair"] == trials + 2
+    assert res.trials == trials  # no trial was absorbed by the retraction
