@@ -168,6 +168,7 @@ def _run(cset, fld, s, n, const, settings, out_dir, label, entry=None):
         "grad_norm": result.grad_norm,
         "iterations": len(result.trace),
         "trials": result.trials,
+        "restarts": result.restarts,
         "diagnostics": report.to_dict(),
         "comparison": comparison,
     }

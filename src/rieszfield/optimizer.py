@@ -1,20 +1,22 @@
-"""Energy, gradient, and projected-descent minimization of point sets.
+"""Energy, gradient, and preconditioned quasi-Newton minimization of point sets.
 
 The discrete objective is the pair sum over ordered pairs |x-y|^(-s)
 plus the external-field term (tau/N) * sum q(x), with tau = N^(1+s/d)
 for s > d and N^2 ln N at s = d.  Minimization is multi-start projected
-gradient descent: Armijo backtracking on the energy, retraction to the
-set after every trial step, a step that doubles only after an iteration
-accepts its first trial, convergence once the tangential gradient norm
-falls under a scale-aware tolerance.  Each trial is one pass over
-the pairs that gives its energy and tangent gradient together, and an
-accepted trial's gradient starts the next iteration.  The pass walks
-row blocks; the distances from a block to later points come from one
+descent preconditioned by the per-point pair stiffness
+P_i = 2s(s+1) sum_j |x_i - x_j|^(-s-2).  A restart opens with
+preconditioned gradient steps (P-GD, direction -G/P) and, once a P-GD
+step is accepted at its first trial, switches to limited-memory BFGS
+(Liu & Nocedal 1989) with the initial inverse Hessian gamma/P; a
+quasi-Newton step that fails falls back to P-GD within the same
+iteration.  Every trial is retracted to the set and accepted by Armijo
+on its realized first-order decrease.  Each trial is one pass over the
+pairs that gives its energy, tangent gradient and stiffness together,
+and an accepted trial's start the next iteration.  The pass walks row
+blocks; the distances from a block to later points come from one
 matrix product of centred coordinates, and the rows with near pairs are
 recomputed from coordinate differences, so the closest distances and
-the collision guard stay exact.  Deliberately
-first-order: the landscape is nonconvex with O(N^2) terms and
-verifiability beats iteration counts here.
+the collision guard stay exact.
 """
 
 from __future__ import annotations
@@ -101,9 +103,16 @@ class OptimizerSettings:
             raise ValueError(f"unknown init mode {self.init!r}")
 
 
-# Armijo sufficient-decrease constant and backtracking factor
+# Armijo sufficient-decrease constant, backtracking factor and trials
+# per P-GD line search
 _ARMIJO_C = 1e-4
 _ARMIJO_SHRINK = 0.5
+_MAX_TRIALS = 60
+# curvature pairs kept by the quasi-Newton memory
+_MEMORY = 8
+# a refused trial whose first-order decrease is at most this many ulps of
+# |E| ends the restart: the energy comparison cannot resolve it
+_FLOOR_ULPS = 64
 
 # Entries per block of squared distances: 2^17 doubles = 1 MiB.  A block
 # keeps two such arrays alive, 1/r^2 (overwritten by the gradient
@@ -124,10 +133,12 @@ def _min_distance(X: np.ndarray) -> float:
 def _pair_kernel(X: np.ndarray, s: float, gradient: bool = False):
     """One pass over the pairs of X in row blocks of squared distances.
 
-    Returns (energy, r2min, G): the pair energy over ordered pairs,
+    Returns (energy, r2min, G, P): the pair energy over ordered pairs,
     sum_{i != j} |x_i - x_j|^(-s), the smallest squared distance (inf
     for fewer than two points) and, with ``gradient``, the ambient pair
-    gradient (else None).  Each unordered pair is visited once; peak
+    gradient and the per-point stiffness P_i = 2s(s+1) sum_{j != i}
+    |x_i - x_j|^(-s-2), the radial second derivative of point i's pair
+    terms (else None and None).  Each unordered pair is visited once; peak
     memory is one block.  r2min is read before the block is overwritten.
 
     The pairs within a row block are exact coordinate differences
@@ -147,12 +158,13 @@ def _pair_kernel(X: np.ndarray, s: float, gradient: bool = False):
     s.  The gradient weights c = w/r^2 = |x_i - x_j|^(-s-2) overwrite
     1/r^2.  The gradient needs sum_j c_ij x_j and sum_j c_ij per row (and
     per column of an off-diagonal block); one matrix product of c with
-    [X | 1] gives both.
+    [X | 1] gives both, and the sums of c are also P / (2s(s+1)).
     """
     n = len(X)
     rows = max(1, _BLOCK_ENTRIES // max(n, 1))
     total, r2min = 0.0, np.inf
     G = np.zeros_like(X) if gradient else None
+    P = np.zeros(n) if gradient else None
     X1 = np.hstack([X, np.ones((n, 1))]) if gradient else None
     if rows < n:
         Y = X - 0.5 * (X.min(axis=0) + X.max(axis=0))
@@ -197,39 +209,44 @@ def _pair_kernel(X: np.ndarray, s: float, gradient: bool = False):
                     # the columns, by Newton's third law
                     T = c.T @ X1[i0:i1]
                     G[i1:] -= 2.0 * s * (cols * T[:, -1:] - T[:, :-1])
+                    P[i1:] += T[:, -1]
                 G[i0:i1] -= 2.0 * s * (Xr * S[:, -1:] - S[:, :-1])
-    return total, r2min, G
+                P[i0:i1] += S[:, -1]
+    if gradient:
+        P *= 2.0 * s * (s + 1.0)
+    return total, r2min, G, P
 
 
 def _objective(X: np.ndarray, cset: CompactSet, fld: ExternalField, s: float, gradient=False):
     """Energy of the points X and its tangent gradient from one pair pass.
 
-    Returns (E, r2min, G).  E is +inf under the collision guard (r2min
+    Returns (E, r2min, G, P).  E is +inf under the collision guard (r2min
     below (1e-12 * diameter)^2, exact coincidence r2min == 0 included)
     and on field poles.  G is None for ``gradient=False``, the tangent
     gradient for ``True``, and for ``"finite"`` the tangent gradient only
     when E is finite: a line-search trial of infinite energy is refused
-    anyway, and a field gradient at a pole would be inf - inf.
+    anyway, and a field gradient at a pole would be inf - inf.  P is the
+    pair kernel's stiffness whenever G is not None, else None.
     """
     n = len(X)
     weight = tau(s, cset.hausdorff_dim, n) / n
-    pair, r2min, G = _pair_kernel(X, s, gradient=bool(gradient))
+    pair, r2min, G, P = _pair_kernel(X, s, gradient=bool(gradient))
     if r2min < (1e-12 * cset.diameter) ** 2:
         pair = np.inf
     E = pair + weight * float(np.asarray(fld.evaluate(X), dtype=float).sum())
     if G is not None:
         if gradient == "finite" and not np.isfinite(E):
-            G = None
+            G = P = None
         else:
             G += weight * field_gradient(fld, X, cset)
             G = cset.tangent_project(X, G)
-    return E, r2min, G
+    return E, r2min, G, P
 
 
 def energy(config: Configuration, fld: ExternalField, s: float) -> float:
     """E^q of the configuration; +inf is a representable value (points on
     field poles or under the collision guard), exact coincidence raises."""
-    E, r2min, _ = _objective(config.points, config.cset, fld, s)
+    E, r2min, _, _ = _objective(config.points, config.cset, fld, s)
     if r2min == 0.0:
         raise ValueError("coincident points give infinite energy")
     return E
@@ -277,47 +294,107 @@ class MinimizeResult:
     config: Configuration
     energy: float
     trace: np.ndarray  # columns: iter, energy, grad_norm, step
-    termination: str  # grad_tol | step_absorbed | line_search_exhausted | max_iters
+    # grad_tol | precision_floor | step_absorbed | line_search_exhausted | max_iters
+    termination: str
     grad_norm: float
     trials: int  # pair passes of the line searches
+    # per restart that found a finite sample: energy, termination, iterations, trials
+    restarts: list
 
 
-def _descend(cset, fld, s, X, E, G, max_iters, step_init, gtol):
-    # (E, G) belong to X on entry and on return (X, G, trace, termination,
-    # trials); each trial is one pair pass that gives its energy and
-    # gradient, and an accepted trial's are the next iteration's.  Exact
+def _descent_gradient(cset, X, G):
+    """G less each component that pushes a point out through an interval
+    endpoint: a point pinned there by the retraction cannot follow it."""
+    if cset.kind == "interval":
+        (lo, hi), = cset.param_bounds
+        G = np.where(((X <= lo) & (G > 0.0)) | ((X >= hi) & (G < 0.0)), 0.0, G)
+    return G
+
+
+def _two_loop(G, P, memory):
+    """-H G for the L-BFGS inverse Hessian H of the curvature pairs in
+    ``memory`` (oldest first, each (dx, dG, dx.dG)), with the initial
+    H0 = gamma / P scaled by the newest pair."""
+    q = G.copy()
+    alphas = []
+    for dx, dg, dxdg in reversed(memory):
+        alpha = float(np.vdot(dx, q)) / dxdg
+        q -= alpha * dg
+        alphas.append(alpha)
+    _, dg, dxdg = memory[-1]
+    pinv = 1.0 / P[:, None]
+    r = (dxdg / float(np.vdot(dg, dg * pinv))) * (q * pinv)
+    for (dx, dg, dxdg), alpha in zip(memory, reversed(alphas)):
+        beta = float(np.vdot(dg, r)) / dxdg
+        r += (alpha - beta) * dx
+    return -r
+
+
+def _descend(cset, fld, s, X, E, G, P, max_iters, gtol):
+    # (E, G, P) belong to X on entry and on return (X, G, trace,
+    # termination, trials); G is the descent gradient (_descent_gradient).
+    # Each trial is one pair pass that gives its energy, gradient and
+    # stiffness, and an accepted trial's are the next iteration's.  Exact
     # coincidence in a trial (e.g. two points clamped to the same interval
     # endpoint) is infinite energy, not an error.
-    step = step_init
+    G = _descent_gradient(cset, X, G)
+    step = 1.0  # P-GD step, in units of the stiffness
+    # curvature pairs (dx, dG, dx.dG) with dx.dG > 0, oldest first, of the
+    # accepted steps since the last P-GD direction, that step's included
+    memory = []
+    quasi_newton = False  # the last iteration was a first-trial accept
     rows = []
     trials = 0
 
     def stop(termination):
         return X, G, np.asarray(rows, dtype=float), termination, trials
 
+    def trial(X1, decrease):
+        # Armijo asks a share of the first-order decrease <G, X - X1>
+        nonlocal trials
+        trials += 1
+        E1, _, G1, P1 = _objective(X1, cset, fld, s, gradient="finite")
+        return np.isfinite(E1) and E - E1 >= _ARMIJO_C * decrease, E1, G1, P1
+
     for it in range(max_iters):
         gn = float(np.linalg.norm(G))
-        rows.append((it, E, gn, step))
+        quasi_newton = quasi_newton and bool(memory)
+        rows.append((it, E, gn, 1.0 if quasi_newton else step))
         if gn < gtol:
             return stop("grad_tol")
-        for k in range(60):
-            X1 = cset.retract(X - step * G)
-            # Armijo on the realized displacement: equals step*|grad|^2 in
-            # the interior and drops components absorbed by the retraction
-            # (points pinned at an interval endpoint must not block it)
-            dn2 = float(((X - X1) ** 2).sum())
-            if dn2 == 0.0:
-                return stop("step_absorbed")
-            E1, _, G1 = _objective(X1, cset, fld, s, gradient="finite")
-            trials += 1
-            if np.isfinite(E1) and E - E1 >= _ARMIJO_C * dn2 / step:
-                X, E, G = X1, E1, G1
-                if k == 0:  # only a step accepted at its first trial doubles
-                    step = min(step * 2.0, 1e6 * step_init)
-                break
-            step *= _ARMIJO_SHRINK
-        else:
-            return stop("line_search_exhausted")
+        accept = False
+        if quasi_newton:
+            D = cset.tangent_project(X, _two_loop(G, P, memory))
+            if float(np.vdot(G, D)) < 0.0:
+                X1 = cset.retract(X + D)
+                decrease = float(np.vdot(G, X - X1))
+                if decrease > 0.0:
+                    accept, E1, G1, P1 = trial(X1, decrease)
+        if not accept:  # P-GD, also the fallback of a failed quasi-Newton step
+            memory.clear()
+            D = G / P[:, None]
+            for k in range(_MAX_TRIALS):
+                X1 = cset.retract(X - step * D)
+                decrease = float(np.vdot(G, X - X1))
+                if decrease <= 0.0:
+                    return stop("step_absorbed")
+                accept, E1, G1, P1 = trial(X1, decrease)
+                if accept:
+                    break
+                if decrease <= _FLOOR_ULPS * np.finfo(float).eps * abs(E):
+                    return stop("precision_floor")
+                step *= _ARMIJO_SHRINK
+            else:
+                return stop("line_search_exhausted")
+            quasi_newton = k == 0
+            if quasi_newton:  # only a step accepted at its first trial doubles
+                step *= 2.0
+        G1 = _descent_gradient(cset, X1, G1)
+        dx, dg = X1 - X, G1 - G
+        dxdg = float(np.vdot(dx, dg))
+        if dxdg > 0.0:
+            memory = memory[1 - _MEMORY:] + [(dx, dg, dxdg)]
+        X, E, G, P = X1, E1, G1, P1
     return stop("max_iters")
 
 
@@ -334,48 +411,73 @@ def minimize(
     Initial points are quadrature nodes drawn with probability
     proportional to weight (or weight times equilibrium density for the
     density/stratified modes, which need ``measure``).  Each restart
-    runs Armijo projected descent from the step diameter * N^(-1-s/d):
-    a trial step is halved until the energy falls by 1e-4 * |dx|^2 / step.
-    An iteration whose first trial is accepted doubles the step for the
-    next (up to 1e6 times the initial step); one that had to halve keeps
-    the step it accepted.  Each trial is one pair pass that gives its
-    energy and gradient, and an accepted trial's gradient starts the next
-    iteration; the initial sample's pass, which checks that its energy is
-    finite, starts the first.  A restart stops, and ``termination`` says
-    which way, when the tangential gradient norm drops below grad_tol *
-    N^(1+s/d) / diameter^(s+1) (``grad_tol``), when the retraction
-    absorbs the whole step (``step_absorbed``), when 60 trials find no
-    decrease (``line_search_exhausted``), or after max_iters iterations
+    descends along the tangent gradient G preconditioned by the pair
+    stiffness P_i = 2s(s+1) sum_j |x_i - x_j|^(-s-2).  On an interval G
+    leaves out each component that pushes a point out through an
+    endpoint; that G sets the norm, the directions and the curvature
+    pairs.  Every trial X1 is retracted to the set and accepted when
+    E - E1 >= 1e-4 * <G, X - X1>.
+
+    - P-GD: the direction is -G/P per point, from step 1 on.  A trial is
+      halved until accepted; an iteration whose first trial is accepted
+      doubles the step, one that had to halve keeps the step it accepted.
+    - P-L-BFGS: the iteration after a first-trial accept takes the
+      two-loop direction of the last 8 curvature pairs (dx, dG) with
+      dx.dG > 0: the accepted P-GD step's and those of the quasi-Newton
+      steps since.  H0 = gamma/P with gamma = dx.dG / dG.(dG/P) of the
+      newest pair; the direction is projected to the tangent space and
+      tried once at unit step, and the phase goes on while its trials
+      are accepted.  A direction that is not a descent direction, a
+      retracted trial with no first-order decrease, or a refused trial
+      sends the same iteration on as P-GD at the current P-GD step; an
+      iteration that takes the P-GD direction drops the pairs.
+
+    Each trial is one pair pass that gives its energy, gradient and
+    stiffness, and an accepted trial's start the next iteration; the
+    initial sample's pass, which checks that its energy is finite,
+    starts the first.  A restart stops, and ``termination`` says which
+    way, when |G| drops below grad_tol * N^(1+s/d) / diameter^(s+1)
+    (``grad_tol``), when a refused P-GD trial's first-order decrease is
+    at most 64 ulps of |E|, below which the energy comparison cannot
+    resolve a decrease (``precision_floor``), when a P-GD step leaves no
+    first-order decrease (``step_absorbed``: the retraction or rounding
+    absorbed it), when 60 trials find no decrease
+    (``line_search_exhausted``), or after max_iters iterations
     (``max_iters``).  The restart with the lowest finite energy is
     returned: the descent's final points, their energy from one
-    ``energy`` call, grad_norm, the tangent gradient norm at those
-    points, and trials, the pair passes of its line searches.
-    OptimizerFailure is raised when no restart has a finite energy.
+    ``energy`` call, grad_norm, |G| at those points, trials, the pair
+    passes of its line searches, and ``restarts``, each restart's
+    energy, termination, iterations and trials.  OptimizerFailure is
+    raised when no restart has a finite energy.
     """
     if N < 2:
         raise ValueError("minimization needs at least two points")
     settings = settings or OptimizerSettings()
     d = cset.hausdorff_dim
-    step_init = cset.diameter * float(N) ** (-1.0 - s / d)
     gtol = settings.grad_tol * float(N) ** (1.0 + s / d) * cset.diameter ** (-s - 1.0)
 
-    best = None
+    best, restarts = None, []
     for r in range(settings.restarts):
         rng = np.random.default_rng([settings.rng_seed, r])
         for _ in range(100):
             X = _sample_initial(cset, N, rng, settings.init, measure)
-            E, _, G = _objective(X, cset, fld, s, gradient="finite")
+            E, _, G, P = _objective(X, cset, fld, s, gradient="finite")
             if np.isfinite(E):
                 break
         else:
             continue
         X, G, trace, termination, trials = _descend(
-            cset, fld, s, X, E, G, settings.max_iters, step_init, gtol
+            cset, fld, s, X, E, G, P, settings.max_iters, gtol
         )
         config = Configuration(X, cset)
         E = energy(config, fld, s)
+        restarts.append(
+            {"energy": E, "termination": termination, "iterations": len(trace), "trials": trials}
+        )
         if np.isfinite(E) and (best is None or E < best.energy):
-            best = MinimizeResult(config, E, trace, termination, float(np.linalg.norm(G)), trials)
+            best = MinimizeResult(
+                config, E, trace, termination, float(np.linalg.norm(G)), trials, restarts
+            )
     if best is None:
         raise OptimizerFailure("all restarts failed to produce finite energy")
     return best

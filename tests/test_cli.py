@@ -335,23 +335,25 @@ def test_reproduce_zero_override_rejected(tmp_path, capsys, flag, message):
     assert not (tmp_path / "rep").exists()
 
 
-# example: (n, max_iters, init, published_n, published window names)
+# example: (n, max_iters, init, restarts, published_n, published window names)
 BUNDLED = {
-    "a": (1000, 1500, "density", 1000, ["separation", "mesh_ratio_mid", "mesh_ratio_polar"]),
-    "b": (200, 3000, "weighted", 500, ["separation"]),
-    "c": (500, 2000, "weighted", 500, ["separation"]),
-    "d": (1000, 1500, "weighted", 1000, ["separation", "void_avoidance"]),
-    "e": (200, 5000, "stratified", 500, ["separation", "histogram_sup_dev"]),
+    "a": (1000, 1500, "density", 2, 1000, ["separation", "mesh_ratio_mid", "mesh_ratio_polar"]),
+    "b": (200, 3000, "weighted", 1, 500, ["separation"]),
+    "c": (500, 2000, "weighted", 1, 500, ["separation"]),
+    "d": (1000, 1500, "weighted", 1, 1000, ["separation", "void_avoidance"]),
+    "e": (200, 5000, "stratified", 1, 500, ["separation", "histogram_sup_dev"]),
 }
 
 
 @pytest.mark.parametrize("example", sorted(BUNDLED))
 def test_bundled_example_reaches_run(recorded_runs, example):
-    n, max_iters, init, published_n, windows = BUNDLED[example]
+    n, max_iters, init, restarts, published_n, windows = BUNDLED[example]
     assert cli.main(["reproduce", example]) == 0
     (run,) = recorded_runs
     assert run["n"] == n
-    assert run["settings"] == cli.OptimizerSettings(max_iters=max_iters, restarts=1, rng_seed=0, init=init)
+    assert run["settings"] == cli.OptimizerSettings(
+        max_iters=max_iters, restarts=restarts, rng_seed=0, init=init
+    )
     assert run["label"] == f"catalog field {example}, n = {n}"
     assert run["out_dir"] == f"riesz-reproduce-{example}"
     assert run["entry"]["published_n"] == published_n
