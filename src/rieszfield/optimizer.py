@@ -7,16 +7,17 @@ descent preconditioned by the per-point pair stiffness
 P_i = 2s(s+1) sum_j |x_i - x_j|^(-s-2).  A restart opens with
 preconditioned gradient steps (P-GD, direction -G/P) and, once a P-GD
 step is accepted at its first trial, switches to limited-memory BFGS
-(Liu & Nocedal 1989) with the initial inverse Hessian gamma/P; a
-quasi-Newton step that fails falls back to P-GD within the same
-iteration.  Every trial is retracted to the set and accepted by Armijo
-on its realized first-order decrease.  Each trial is one pass over the
-pairs that gives its energy, tangent gradient and stiffness together,
-and an accepted trial's start the next iteration.  The pass walks row
-blocks; the distances from a block to later points come from one
-matrix product of centred coordinates, and the rows with near pairs are
-recomputed from coordinate differences, so the closest distances and
-the collision guard stay exact.
+(Liu & Nocedal 1989) with the initial inverse Hessian gamma/P and its
+curvature pairs projected to the tangent space of the current points
+(Huang, Gallivan & Absil 2015); a quasi-Newton step that fails falls
+back to P-GD within the same iteration.  Every trial is retracted to
+the set and accepted by Armijo on its realized first-order decrease.
+Each trial is one pass over the pairs that gives its energy, tangent
+gradient and stiffness together, and an accepted trial's start the next
+iteration.  The pass walks row blocks; the distances from a block to
+later points come from one matrix product of centred coordinates, and
+the rows with near pairs are recomputed from coordinate differences, so
+the closest distances and the collision guard stay exact.
 """
 
 from __future__ import annotations
@@ -303,12 +304,26 @@ class MinimizeResult:
 
 
 def _descent_gradient(cset, X, G):
-    """G less each component that pushes a point out through an interval
-    endpoint: a point pinned there by the retraction cannot follow it."""
-    if cset.kind == "interval":
-        (lo, hi), = cset.param_bounds
-        G = np.where(((X <= lo) & (G > 0.0)) | ((X >= hi) & (G < 0.0)), 0.0, G)
-    return G
+    """G less each component along which the retraction holds X against
+    a step down G, retract(X - G) == X there: a point pinned at an
+    interval endpoint cannot follow the outward component."""
+    return np.where(cset.retract(X - G) == X, 0.0, G)
+
+
+def _transport(cset, X, pairs):
+    """The curvature pairs (dx, dG) moved to the tangent space at X by
+    projection, each with its dx.dG; the newest _MEMORY with dx.dG > 0.
+    The pairs were taken at earlier points, whose tangent spaces differ
+    from that at X on a curved set.  One projection call takes them all."""
+    k = len(pairs)
+    V = np.concatenate([v for dx, dg, *_ in pairs for v in (dx, dg)])
+    V = cset.tangent_project(np.tile(X, (2 * k, 1)), V).reshape(k, 2, *X.shape)
+    moved = []
+    for dx, dg in V:
+        dxdg = float(np.vdot(dx, dg))
+        if dxdg > 0.0:
+            moved.append((dx, dg, dxdg))
+    return moved[-_MEMORY:]
 
 
 def _two_loop(G, P, memory):
@@ -339,10 +354,10 @@ def _descend(cset, fld, s, X, E, G, P, max_iters, gtol):
     # endpoint) is infinite energy, not an error.
     G = _descent_gradient(cset, X, G)
     step = 1.0  # P-GD step, in units of the stiffness
-    # curvature pairs (dx, dG, dx.dG) with dx.dG > 0, oldest first, of the
-    # accepted steps since the last P-GD direction, that step's included
+    # curvature pairs (dx, dG, dx.dG), oldest first, of a P-GD step
+    # accepted at its first trial and the quasi-Newton steps since; the
+    # next iteration is quasi-Newton while there are any
     memory = []
-    quasi_newton = False  # the last iteration was a first-trial accept
     rows = []
     trials = 0
 
@@ -358,12 +373,11 @@ def _descend(cset, fld, s, X, E, G, P, max_iters, gtol):
 
     for it in range(max_iters):
         gn = float(np.linalg.norm(G))
-        quasi_newton = quasi_newton and bool(memory)
-        rows.append((it, E, gn, 1.0 if quasi_newton else step))
+        rows.append((it, E, gn, 1.0 if memory else step))
         if gn < gtol:
             return stop("grad_tol")
         accept = False
-        if quasi_newton:
+        if memory:
             D = cset.tangent_project(X, _two_loop(G, P, memory))
             if float(np.vdot(G, D)) < 0.0:
                 X1 = cset.retract(X + D)
@@ -371,7 +385,7 @@ def _descend(cset, fld, s, X, E, G, P, max_iters, gtol):
                 if decrease > 0.0:
                     accept, E1, G1, P1 = trial(X1, decrease)
         if not accept:  # P-GD, also the fallback of a failed quasi-Newton step
-            memory.clear()
+            memory = []
             D = G / P[:, None]
             for k in range(_MAX_TRIALS):
                 X1 = cset.retract(X - step * D)
@@ -386,14 +400,13 @@ def _descend(cset, fld, s, X, E, G, P, max_iters, gtol):
                 step *= _ARMIJO_SHRINK
             else:
                 return stop("line_search_exhausted")
-            quasi_newton = k == 0
-            if quasi_newton:  # only a step accepted at its first trial doubles
+            if k == 0:  # only a step accepted at its first trial doubles
                 step *= 2.0
         G1 = _descent_gradient(cset, X1, G1)
-        dx, dg = X1 - X, G1 - G
-        dxdg = float(np.vdot(dx, dg))
-        if dxdg > 0.0:
-            memory = memory[1 - _MEMORY:] + [(dx, dg, dxdg)]
+        # a P-GD step that had to halve keeps no pair (the memory is empty
+        # after P-GD, so k is that iteration's)
+        if memory or k == 0:
+            memory = _transport(cset, X1, memory + [(X1 - X, G1 - G)])
         X, E, G, P = X1, E1, G1, P1
     return stop("max_iters")
 
@@ -412,25 +425,27 @@ def minimize(
     proportional to weight (or weight times equilibrium density for the
     density/stratified modes, which need ``measure``).  Each restart
     descends along the tangent gradient G preconditioned by the pair
-    stiffness P_i = 2s(s+1) sum_j |x_i - x_j|^(-s-2).  On an interval G
-    leaves out each component that pushes a point out through an
-    endpoint; that G sets the norm, the directions and the curvature
-    pairs.  Every trial X1 is retracted to the set and accepted when
-    E - E1 >= 1e-4 * <G, X - X1>.
+    stiffness P_i = 2s(s+1) sum_j |x_i - x_j|^(-s-2).  G leaves out each
+    component along which the retraction holds the points against a step
+    down G (on an interval, a push out through an endpoint); that G sets
+    the norm, the directions and the curvature pairs.  Every trial X1 is
+    retracted to the set and accepted when E - E1 >= 1e-4 * <G, X - X1>.
 
     - P-GD: the direction is -G/P per point, from step 1 on.  A trial is
       halved until accepted; an iteration whose first trial is accepted
       doubles the step, one that had to halve keeps the step it accepted.
     - P-L-BFGS: the iteration after a first-trial accept takes the
-      two-loop direction of the last 8 curvature pairs (dx, dG) with
-      dx.dG > 0: the accepted P-GD step's and those of the quasi-Newton
-      steps since.  H0 = gamma/P with gamma = dx.dG / dG.(dG/P) of the
-      newest pair; the direction is projected to the tangent space and
-      tried once at unit step, and the phase goes on while its trials
-      are accepted.  A direction that is not a descent direction, a
-      retracted trial with no first-order decrease, or a refused trial
-      sends the same iteration on as P-GD at the current P-GD step; an
-      iteration that takes the P-GD direction drops the pairs.
+      two-loop direction of the last 8 curvature pairs (dx, dG): the
+      accepted P-GD step's and those of the quasi-Newton steps since.
+      After each step every pair is projected to the tangent space at
+      the new points, and a pair with dx.dG <= 0 there is dropped.
+      H0 = gamma/P with gamma = dx.dG / dG.(dG/P) of the newest pair;
+      the direction is projected to the tangent space and tried once at
+      unit step, and the phase goes on while its trials are accepted.
+      A direction that is not a descent direction, a retracted trial
+      with no first-order decrease, or a refused trial sends the same
+      iteration on as P-GD at the current P-GD step; an iteration that
+      takes the P-GD direction drops the pairs.
 
     Each trial is one pair pass that gives its energy, gradient and
     stiffness, and an accepted trial's start the next iteration; the

@@ -327,6 +327,29 @@ def test_refused_quasi_newton_trial_falls_back_to_pgd(sphere, monkeypatch):
     assert it == 30 and fallbacks >= 5
 
 
+def test_transport_projects_pairs_to_tangent_space(sphere, rng):
+    # pairs taken at other points are projected to the tangent space at
+    # X; those of non-positive curvature there are dropped, the newest 8
+    # of the rest kept
+    X = sphere.retract(rng.normal(size=(10, 3)))
+    pairs = [(rng.normal(size=(10, 3)), rng.normal(size=(10, 3))) for _ in range(20)]
+
+    def project(V):
+        return V - np.sum(V * X, axis=1, keepdims=True) * X
+
+    expected = [
+        (project(dx), project(dg)) for dx, dg in pairs if np.vdot(project(dx), project(dg)) > 0.0
+    ]
+    assert 8 < len(expected) < 20  # the seed gives both kinds of pair
+    moved = optimizer._transport(sphere, X, pairs)
+    assert len(moved) == 8
+    for (dx, dg, dxdg), (ex, eg) in zip(moved, expected[-8:]):
+        np.testing.assert_allclose(dx, ex, atol=1e-14)
+        np.testing.assert_allclose(dg, eg, atol=1e-14)
+        assert dxdg == float(np.vdot(dx, dg)) > 0.0
+        assert np.abs(np.sum(dx * X, axis=1)).max() < 1e-14
+
+
 def test_precision_floor_termination(interval02, measure_e):
     # e's defaults: |E| = 1.1e12, so one ulp of E hides the decrease of a
     # step at gtol, and the descent stops at the floor, not in a line
@@ -464,7 +487,7 @@ def _reference_minimize(cset, fld, s, N, settings):
     # the descent before each trial returned its gradient and stiffness:
     # per iteration one energy_gradient and one stiffness pass, one energy
     # per trial, with the same samples, directions, Armijo rule, step
-    # rule, quasi-Newton fallback and stops as minimize
+    # rule, quasi-Newton memory and fallback, and stops as minimize
     d = cset.hausdorff_dim
     gtol = settings.grad_tol * float(N) ** (1.0 + s / d) * cset.diameter ** (-s - 1.0)
     floor = 64.0 * np.finfo(float).eps
@@ -477,20 +500,28 @@ def _reference_minimize(cset, fld, s, N, settings):
 
     def gradient_and_stiffness(X):
         G = energy_gradient(Configuration(X, cset), fld, s)
-        if cset.kind == "interval":  # no push out through an endpoint
-            lo, hi = cset.param_bounds[0]
-            G[((X <= lo) & (G > 0.0)) | ((X >= hi) & (G < 0.0))] = 0.0
+        G[cset.retract(X - G) == X] = 0.0  # components the retraction holds
         return G, optimizer._pair_kernel(X, s, gradient=True)[3]
+
+    def transported(X, pairs):
+        # each pair projected to the tangent space at X, kept while its
+        # curvature is positive, the newest eight
+        kept = []
+        for dx, dg in pairs:
+            dx, dg = cset.tangent_project(X, dx), cset.tangent_project(X, dg)
+            if float(np.vdot(dx, dg)) > 0.0:
+                kept.append((dx, dg))
+        return kept[-8:]
 
     def quasi_newton_direction(G, P, pairs):
         q, alphas = G.copy(), []
-        for dx, dg, dxdg in pairs[::-1]:
-            alphas.insert(0, float(np.vdot(dx, q)) / dxdg)
+        for dx, dg in pairs[::-1]:
+            alphas.insert(0, float(np.vdot(dx, q)) / float(np.vdot(dx, dg)))
             q -= alphas[0] * dg
-        dx, dg, dxdg = pairs[-1]
-        r = (dxdg / float(np.vdot(dg, dg * (1.0 / P[:, None])))) * (q * (1.0 / P[:, None]))
-        for (dx, dg, dxdg), alpha in zip(pairs, alphas):
-            r += (alpha - float(np.vdot(dg, r)) / dxdg) * dx
+        dx, dg = pairs[-1]
+        r = (float(np.vdot(dx, dg)) / float(np.vdot(dg, dg * (1.0 / P[:, None])))) * (q * (1.0 / P[:, None]))
+        for (dx, dg), alpha in zip(pairs, alphas):
+            r += (alpha - float(np.vdot(dg, r)) / float(np.vdot(dx, dg))) * dx
         return -r
 
     def armijo(E, E1, decrease):
@@ -506,22 +537,21 @@ def _reference_minimize(cset, fld, s, N, settings):
         else:
             continue
         E = trial_energy(X)
-        step, pairs, quasi_newton, previous = 1.0, [], False, None
+        # previous: the last accepted step's start, when that step was
+        # quasi-Newton or a P-GD step accepted at its first trial
+        step, pairs, previous = 1.0, [], None
         rows, termination, trials = [], "max_iters", 0
         for it in range(settings.max_iters):
             G, P = gradient_and_stiffness(X)
             if previous is not None:
-                dx, dg = X - previous[0], G - previous[1]
-                if float(np.vdot(dx, dg)) > 0.0:
-                    pairs = (pairs + [(dx, dg, float(np.vdot(dx, dg)))])[-8:]
-            quasi_newton = quasi_newton and len(pairs) > 0
+                pairs = transported(X, pairs + [(X - previous[0], G - previous[1])])
             gn = float(np.linalg.norm(G))
-            rows.append((it, E, gn, 1.0 if quasi_newton else step))
+            rows.append((it, E, gn, 1.0 if pairs else step))
             if gn < gtol:
                 termination = "grad_tol"
                 break
-            X1 = None
-            if quasi_newton:
+            X1, previous = None, (X, G)
+            if pairs:
                 D = cset.tangent_project(X, quasi_newton_direction(G, P, pairs))
                 if float(np.vdot(G, D)) < 0.0:
                     trial = cset.retract(X + D)
@@ -552,10 +582,10 @@ def _reference_minimize(cset, fld, s, N, settings):
                     termination = "line_search_exhausted"
                 if X1 is None:
                     break
-                quasi_newton = k == 0
-                if quasi_newton:
+                if k == 0:
                     step *= 2.0
-            previous = (X, G)
+                else:
+                    previous = None
             X, E = X1, E1
         if np.isfinite(E) and (best is None or E < best[1]):
             best = (X, E, np.asarray(rows, dtype=float), termination, trials)
@@ -613,7 +643,8 @@ def test_one_pair_pass_per_trial(monkeypatch):
     # trial's gradient starts the next iteration; the restart adds the
     # sample's pass and the final energy call
     kernel, min_distance = optimizer._pair_kernel, optimizer._min_distance
-    passes = {"pair": 0, "distance": 0}
+    descent_gradient = optimizer._descent_gradient
+    passes = {"pair": 0, "distance": 0, "descent_gradient": 0}
 
     def counted_kernel(X, s, gradient=False):
         passes["pair"] += 1
@@ -622,6 +653,11 @@ def test_one_pair_pass_per_trial(monkeypatch):
     def counted_min_distance(X):
         passes["distance"] += 1
         return min_distance(X)
+
+    def counted_descent_gradient(*args):
+        # one retraction of its own, not a trial
+        passes["descent_gradient"] += 1
+        return descent_gradient(*args)
 
     cset = make_sphere()
     retract = cset.retract
@@ -633,11 +669,12 @@ def test_one_pair_pass_per_trial(monkeypatch):
 
     monkeypatch.setattr(optimizer, "_pair_kernel", counted_kernel)
     monkeypatch.setattr(optimizer, "_min_distance", counted_min_distance)
+    monkeypatch.setattr(optimizer, "_descent_gradient", counted_descent_gradient)
     monkeypatch.setattr(cset, "retract", counted_retract)
     res = minimize(cset, catalog("a"), 2.0, 40, OptimizerSettings(restarts=1, max_iters=30))
     assert len(res.trace) == 30
     assert passes["distance"] == 1  # one sample, no jitter retractions
-    trials = len(retractions)
+    trials = len(retractions) - passes["descent_gradient"]
     assert trials >= len(res.trace)
     assert passes["pair"] == trials + 2
     assert res.trials == trials  # no trial was absorbed by the retraction
