@@ -19,7 +19,7 @@ import numpy as np
 
 from .constants import m_constant, riesz_constant
 from .equilibrium import integrate_adaptive, solve_equilibrium
-from .geometry import CompactSet
+from .geometry import CompactSet, _by_rows, _row_dot
 
 __all__ = [
     "ExternalField",
@@ -77,10 +77,15 @@ def field_gradient(fld: ExternalField, points: np.ndarray, cset: CompactSet) -> 
 # catalog
 
 
-def _z_coord(X):
-    # third coordinate normalized to the unit sphere; the polar fields
-    # extend off the sphere along rays so probes stay well defined
-    n = np.linalg.norm(X, axis=1)
+def _norm(X):
+    # row norms, bit for bit np.linalg.norm(X, axis=1)
+    return np.sqrt(_row_dot(X, X))
+
+
+def _z_coord(X, n):
+    # third coordinate normalized to the unit sphere, from the row norms
+    # n; the polar fields extend off the sphere along rays so probes stay
+    # well defined
     return X[:, 2] / np.where(n > 0, n, 1.0)
 
 
@@ -88,23 +93,22 @@ def _z_coord(X):
 # u**k for k other than 2 to libm pow, which costs over ten times as much.
 
 
-def _t3_powers(X):
-    # z, the Chebyshev polynomial t = T_3(z) = 4 z^3 - 3 z, t^2, t^4 and t^8
-    z = _z_coord(X)
+def _t3_powers(z):
+    # the Chebyshev polynomial t = T_3(z) = 4 z^3 - 3 z, t^2, t^4 and t^8
     t = 4.0 * (z * z * z) - 3.0 * z
     t2 = t * t
     t4 = t2 * t2
-    return z, t, t2, t4, t4 * t4
+    return t, t2, t4, t4 * t4
 
 
 def _qa_eval(X):
-    t8 = _t3_powers(X)[4]
+    t8 = _t3_powers(_z_coord(X, _norm(X)))[3]
     return t8 * t8
 
 
-def _z_chain(X, dz):
+def _z_chain(X, n, dz):
     # ambient gradient of q(z) from dq/dz, chain rule through z = x3/|x|
-    n = np.linalg.norm(X, axis=1)
+    # with the row norms n
     n3 = n * n * n
     out = np.empty_like(X)
     out[:, 0] = dz * (-X[:, 2] * X[:, 0] / n3)
@@ -114,12 +118,14 @@ def _z_chain(X, dz):
 
 
 def _qa_grad(X):
-    z, t, t2, t4, t8 = _t3_powers(X)
-    return _z_chain(X, 16.0 * (t8 * t4 * t2 * t) * (12.0 * z * z - 3.0))
+    n = _norm(X)
+    z = _z_coord(X, n)
+    t, t2, t4, t8 = _t3_powers(z)
+    return _z_chain(X, n, 16.0 * (t8 * t4 * t2 * t) * (12.0 * z * z - 3.0))
 
 
 def _caps_raw(X):
-    z = _z_coord(X)
+    z = _z_coord(X, _norm(X))
     z2 = z * z
     t4 = 8.0 * (z2 * z2) - 8.0 * z2 + 1.0
     return np.where(z2 > 0.5, (10.0 * t4 + 11.0) / (2.0 * np.pi), 1.0 / (2.0 * np.pi))
@@ -137,16 +143,17 @@ def _qb_eval(X):
 
 
 def _qb_grad(X):
-    z = _z_coord(X)
+    n = _norm(X)
+    z = _z_coord(X, n)
     draw = np.where(z * z > 0.5, 10.0 * (32.0 * (z * z * z) - 16.0 * z) / (2.0 * np.pi), 0.0)
-    return _z_chain(X, -2.0 * np.pi * draw / _CAPS_NORMALIZER)
+    return _z_chain(X, n, -2.0 * np.pi * draw / _CAPS_NORMALIZER)
 
 
 def _radial_eval(center, exponent, scale):
     center = np.asarray(center, dtype=float)
 
     def ev(X):
-        r = np.linalg.norm(np.atleast_2d(X) - center, axis=1)
+        r = _norm(np.atleast_2d(X) - center)
         with np.errstate(divide="ignore"):
             v = scale * r**exponent
         if exponent < 0:
@@ -155,10 +162,10 @@ def _radial_eval(center, exponent, scale):
 
     def gr(X):
         D = np.atleast_2d(X) - center
-        r = np.linalg.norm(D, axis=1)
+        r = _norm(D)
         with np.errstate(divide="ignore", invalid="ignore"):
             f = scale * exponent * r ** (exponent - 2.0)
-        return f[:, None] * D
+        return _by_rows(np.multiply, D, f)
 
     return ev, gr
 

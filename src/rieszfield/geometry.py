@@ -54,7 +54,9 @@ class CompactSet:
     diameter : Euclidean diameter of A
     nodes, weights : quadrature rule for integrals over A
     retract : map of ambient points, shape (n, p), to nearest points on A
-    tangent_project : (points_on_A, ambient_vectors) -> tangent vectors
+    tangent_project : (points on A (n, p), ambient vectors (..., n, p))
+        -> tangent vectors (..., n, p); a stack of vector fields at the
+        same points is projected in one call
     chart : parametrization, (n, param_dim) -> (n, p)
     chart_jacobian : d-volume density of the chart, (n, param_dim) -> (n,)
     param_bounds : rectangle in parameter space covered by the chart
@@ -100,6 +102,41 @@ class CompactSet:
 
     def descriptor(self) -> dict:
         return {"kind": self.kind, **self.params}
+
+
+def _row_dot(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, U[..., 0] V[..., 0] + U[..., 1]
+    V[..., 1] + ... added in index order, one column at a time.
+
+    numpy adds fewer than 8 terms in order, so this is bit for bit
+    ``np.sum(U * V, axis=-1)``, and its square root for V = U
+    ``np.linalg.norm(U, axis=-1)``; it skips numpy's slow inner loop over
+    an axis of length p <= 3 and the (..., p) temporary of the products.
+    """
+    out = U[..., 0] * V[..., 0]
+    for k in range(1, U.shape[-1]):
+        out += U[..., k] * V[..., k]
+    return out
+
+
+def _by_rows(op, A: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """op(A, f[:, None]) one column at a time: each row of A (..., n, p)
+    combined with its entry of f (n,), the same bits without numpy's
+    broadcast over the short axis."""
+    out = np.empty(A.shape)
+    for k in range(A.shape[-1]):
+        op(A[..., k], f, out=out[..., k])
+    return out
+
+
+def _drop_normal(vecs: np.ndarray, normal: np.ndarray) -> np.ndarray:
+    """vecs (..., n, p) less their parts along the unit normals (n, p),
+    one column at a time."""
+    dot = _row_dot(vecs, normal)
+    out = np.empty(vecs.shape)
+    for k in range(vecs.shape[-1]):
+        np.subtract(vecs[..., k], dot * normal[:, k], out=out[..., k])
+    return out
 
 
 def _grid(axes) -> np.ndarray:
@@ -234,16 +271,15 @@ def make_sphere(radius: float = 1.0) -> CompactSet:
 
     def retract(pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        norms = np.linalg.norm(pts, axis=1)
+        norms = np.sqrt(_row_dot(pts, pts))
         if np.any(norms == 0.0):
             raise ValueError("cannot project the origin onto the sphere")
-        return pts * (radius / norms)[:, None]
+        return _by_rows(np.multiply, pts, radius / norms)
 
     def tangent_project(pts, vecs):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         vecs = np.atleast_2d(np.asarray(vecs, dtype=float))
-        normal = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-        return vecs - np.sum(vecs * normal, axis=1, keepdims=True) * normal
+        return _drop_normal(vecs, _by_rows(np.divide, pts, np.sqrt(_row_dot(pts, pts))))
 
     return _chart_set(
         "sphere", {"radius": radius},
@@ -293,18 +329,17 @@ def make_torus(r_inner: float, r_outer: float) -> CompactSet:
         pts[np.hypot(pts[:, 0], pts[:, 1]) < 1e-300, 0] = 1.0
         ring = centre_circle(pts)
         rel = pts - ring
-        dist = np.linalg.norm(rel, axis=1)
+        dist = np.sqrt(_row_dot(rel, rel))
         degenerate = dist < 1e-300
         # center-circle points snap outward
         rel[degenerate] = ring[degenerate] / big_r
         dist[degenerate] = 1.0
-        return ring + rel * (tube_c / dist)[:, None]
+        return ring + _by_rows(np.multiply, rel, tube_c / dist)
 
     def tangent_project(pts, vecs):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         vecs = np.atleast_2d(np.asarray(vecs, dtype=float))
-        normal = (pts - centre_circle(pts)) / tube_c
-        return vecs - np.sum(vecs * normal, axis=1, keepdims=True) * normal
+        return _drop_normal(vecs, (pts - centre_circle(pts)) / tube_c)
 
     return _chart_set(
         "torus", {"r_inner": r_inner, "r_outer": r_outer},
@@ -334,18 +369,47 @@ def make_param_set(
     trusted.  Total measure, diameter and chart stretch are estimated
     from the chart.  Tangent projection defaults to a basis from central
     differences of ``retract`` along the ambient axes; supply an
-    analytic one when available.
+    analytic one when available.  A supplied projection must accept a
+    stack of vector fields, (points (n, p), vectors (..., n, p)) ->
+    (..., n, p), as the optimizer projects its whole curvature memory in
+    one call; it is probed on two fields at two quadrature nodes, and
+    one that does not return their stack's shape, or projects the stack
+    otherwise than each field on its own, raises ValueError.
     """
     dim = len(param_bounds)
     counts = [int(c) for c in (n_quad if np.iterable(n_quad) else [n_quad] * dim)]
-    if tangent_project is None:
+    supplied = tangent_project is not None
+    if not supplied:
         tangent_project = _numeric_tangent_project(param_bounds, retract)
-    return _chart_set(
+    cset = _chart_set(
         "param", {"name": name or "anonymous", "n_quad": counts},
         chart=chart, jacobian=chart_jacobian, bounds=param_bounds, counts=counts,
         periodic=(False,) * dim, retract=retract, tangent_project=tangent_project,
         ambient_dim=ambient_dim,
     )
+    if supplied:
+        _check_stacked_projection(tangent_project, cset.nodes[:2])
+    return cset
+
+
+def _check_stacked_projection(tangent_project, pts):
+    # two distinct fields at the points: a projection written for one
+    # field (n, p) either fails on the stack, returns another shape, or
+    # reduces over the wrong axis, which the per-field calls expose
+    V = np.linspace(-1.0, 2.0, 2 * pts.size).reshape(2, *pts.shape)
+    contract = (
+        "tangent_project must map (points (n, p), vectors (..., n, p)) "
+        "to tangent vectors (..., n, p)"
+    )
+    try:
+        stacked = np.asarray(tangent_project(pts, V), dtype=float)
+        fields = np.stack([np.asarray(tangent_project(pts, v), dtype=float) for v in V])
+    except (ValueError, IndexError) as exc:  # numpy's shape errors
+        raise ValueError(f"{contract}; it failed on a stack of shape {V.shape}") from exc
+    if stacked.shape != V.shape:
+        raise ValueError(f"{contract}; a stack of shape {V.shape} gave {stacked.shape}")
+    if fields.shape != V.shape or not np.allclose(stacked, fields, rtol=1e-9, atol=1e-12):
+        raise ValueError(f"{contract}; the stack was not projected field by field")
 
 
 def _numeric_tangent_project(param_bounds, retract):
@@ -356,6 +420,7 @@ def _numeric_tangent_project(param_bounds, retract):
     h = 1e-6 * max(hi - lo for lo, hi in param_bounds)
 
     def tangent_project(pts, vecs):
+        # one basis per point, applied to every field of the stack vecs
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         vecs = np.atleast_2d(np.asarray(vecs, dtype=float))
         n, p = pts.shape
@@ -365,7 +430,11 @@ def _numeric_tangent_project(param_bounds, retract):
         # column k of block i: retract(x_i + h e_k) - retract(x_i - h e_k)
         diffs = (ahead - behind).reshape(n, p, p).transpose(0, 2, 1)
         basis = np.linalg.svd(diffs)[0][:, :, :dim]
-        return np.einsum("nik,nk->ni", basis, np.einsum("nik,ni->nk", basis, vecs))
+        # coordinates in the basis and back, column by column: the bits of
+        # einsum("nik,nk->ni", basis, einsum("nik,ni->nk", basis, v)) per
+        # field, where einsum over a stack loops over the short axes
+        coords = np.stack([_row_dot(vecs, basis[:, :, j]) for j in range(dim)], axis=-1)
+        return np.stack([_row_dot(coords, basis[:, i]) for i in range(p)], axis=-1)
 
     return tangent_project
 

@@ -32,7 +32,7 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from .fields import ExternalField, field_gradient
-from .geometry import CompactSet
+from .geometry import CompactSet, _by_rows
 
 __all__ = [
     "Configuration",
@@ -314,10 +314,10 @@ def _transport(cset, X, pairs):
     """The curvature pairs (dx, dG) moved to the tangent space at X by
     projection, each with its dx.dG; the newest _MEMORY with dx.dG > 0.
     The pairs were taken at earlier points, whose tangent spaces differ
-    from that at X on a curved set.  One projection call takes them all."""
-    k = len(pairs)
-    V = np.concatenate([v for dx, dg, *_ in pairs for v in (dx, dg)])
-    V = cset.tangent_project(np.tile(X, (2 * k, 1)), V).reshape(k, 2, *X.shape)
+    from that at X on a curved set.  One projection call takes them all,
+    stacked to shape (2k, n, p) at the n points X."""
+    V = np.stack([v for dx, dg, *_ in pairs for v in (dx, dg)])
+    V = cset.tangent_project(X, V).reshape(len(pairs), 2, *X.shape)
     moved = []
     for dx, dg in V:
         dxdg = float(np.vdot(dx, dg))
@@ -337,8 +337,9 @@ def _two_loop(G, P, memory):
         q -= alpha * dg
         alphas.append(alpha)
     _, dg, dxdg = memory[-1]
-    pinv = 1.0 / P[:, None]
-    r = (dxdg / float(np.vdot(dg, dg * pinv))) * (q * pinv)
+    pinv = 1.0 / P
+    gamma = dxdg / float(np.vdot(dg, _by_rows(np.multiply, dg, pinv)))
+    r = gamma * _by_rows(np.multiply, q, pinv)
     for (dx, dg, dxdg), alpha in zip(memory, reversed(alphas)):
         beta = float(np.vdot(dg, r)) / dxdg
         r += (alpha - beta) * dx
@@ -386,7 +387,7 @@ def _descend(cset, fld, s, X, E, G, P, max_iters, gtol):
                     accept, E1, G1, P1 = trial(X1, decrease)
         if not accept:  # P-GD, also the fallback of a failed quasi-Newton step
             memory = []
-            D = G / P[:, None]
+            D = _by_rows(np.divide, G, P)
             for k in range(_MAX_TRIALS):
                 X1 = cset.retract(X - step * D)
                 decrease = float(np.vdot(G, X - X1))

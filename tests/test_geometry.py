@@ -6,6 +6,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from rieszfield.geometry import (
+    _row_dot,
     covering_mesh,
     make_interval,
     make_param_set,
@@ -150,6 +151,61 @@ def test_param_set_default_tangent_project(kind, sphere, torus24, rng):
     X = np.vstack([ref.retract(rng.normal(size=(500, 3))), extremes])
     V = rng.normal(size=X.shape)
     assert np.allclose(built.tangent_project(X, V), ref.tangent_project(X, V), rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("kind", ["interval02", "sphere", "torus24", "sphere_chart", "torus_chart"])
+def test_stacked_tangent_project_matches_per_field(kind, interval02, sphere, torus24, rng):
+    # a stack of fields at the same points is projected as each field on
+    # its own, bit for bit, also by the numeric projection of a user chart
+    sets = {"interval02": interval02, "sphere": sphere, "torus24": torus24}
+    cset = ref = sets[{"sphere_chart": "sphere", "torus_chart": "torus24"}.get(kind, kind)]
+    if kind.endswith("chart"):
+        cset = make_param_set(
+            ref.chart, ref.chart_jacobian, ref.param_bounds, ref.retract,
+            ambient_dim=3, n_quad=(16, 16),
+        )
+    p = cset.ambient_dim
+    X = cset.retract(rng.normal(size=(50, p)) * cset.diameter)
+    V = rng.normal(size=(7, 50, p))
+    stacked = cset.tangent_project(X, V)
+    per_field = np.stack([cset.tangent_project(X, v) for v in V])
+    assert stacked.shape == V.shape
+    assert np.array_equal(stacked, per_field)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("shape", [(300,), (4, 300), (2, 3, 50)])
+def test_row_dot_matches_numpy_reductions(p, shape, rng):
+    # column-by-column dot products and norms give numpy's own bits, so
+    # the projections and retractions built on them keep every output
+    U = rng.normal(size=shape + (p,)) * rng.lognormal(sigma=3.0, size=shape + (p,))
+    V = rng.normal(size=shape + (p,))
+    assert np.array_equal(_row_dot(U, V), np.sum(U * V, axis=-1))
+    assert np.array_equal(np.sqrt(_row_dot(U, U)), np.linalg.norm(U, axis=-1))
+    # a stack of fields against one field broadcasts like np.sum
+    one = V[(0,) * (V.ndim - 2)]
+    assert np.array_equal(_row_dot(U, one), np.sum(U * one, axis=-1))
+
+
+def test_supplied_tangent_project_must_accept_stacks(sphere):
+    def stacked(pts, vecs):  # reduces over the last axis: takes stacks
+        return vecs - np.sum(vecs * pts, axis=-1, keepdims=True) * pts
+
+    def one_field_sum(pts, vecs):  # reduces over axis 1, the points of a stack
+        return vecs - np.sum(vecs * pts, axis=1, keepdims=True) * pts
+
+    def one_field_einsum(pts, vecs):  # refuses a stack
+        return vecs - np.einsum("ij,ij->i", vecs, pts)[:, None] * pts
+
+    def flattening(pts, vecs):  # right values, wrong shape
+        return stacked(pts, vecs).reshape(-1, pts.shape[1])
+
+    parts = (sphere.chart, sphere.chart_jacobian, sphere.param_bounds, sphere.retract)
+    built = make_param_set(*parts, ambient_dim=3, n_quad=(8, 8), tangent_project=stacked)
+    assert built.tangent_project is stacked
+    for bad in (one_field_sum, one_field_einsum, flattening):
+        with pytest.raises(ValueError, match=r"\(points \(n, p\), vectors \(\.\.\., n, p\)\)"):
+            make_param_set(*parts, ambient_dim=3, n_quad=(8, 8), tangent_project=bad)
 
 
 def test_descriptor_round_trip(interval02, sphere, torus24):

@@ -350,6 +350,30 @@ def test_transport_projects_pairs_to_tangent_space(sphere, rng):
         assert np.abs(np.sum(dx * X, axis=1)).max() < 1e-14
 
 
+@pytest.mark.parametrize("k", [1, 9])
+def test_transport_is_one_stacked_projection(k, sphere, rng, monkeypatch):
+    # the whole memory goes through one projection call at the n points
+    # X, stacked to (2k, n, p), and comes out as pair-by-pair projection
+    X = sphere.retract(rng.normal(size=(10, 3)))
+    steps = [rng.normal(size=(10, 3)) for _ in range(k)]
+    pairs = [(dx, dx + 0.5 * rng.normal(size=(10, 3))) for dx in steps]  # dx.dG > 0
+    calls = []
+
+    def recorded(pts, vecs):
+        calls.append((pts.shape, vecs.shape))
+        return sphere.tangent_project(pts, vecs)
+
+    cset = make_sphere()
+    monkeypatch.setattr(cset, "tangent_project", recorded)
+    moved = optimizer._transport(cset, X, pairs)
+    assert calls == [(X.shape, (2 * k, *X.shape))]
+    expected = [(sphere.tangent_project(X, dx), sphere.tangent_project(X, dg)) for dx, dg in pairs]
+    expected = [(dx, dg) for dx, dg in expected if np.vdot(dx, dg) > 0.0][-8:]
+    assert len(moved) == len(expected) == min(k, 8)
+    for (dx, dg, _), (ex, eg) in zip(moved, expected):
+        assert dx.tobytes() == ex.tobytes() and dg.tobytes() == eg.tobytes()
+
+
 def test_precision_floor_termination(interval02, measure_e):
     # e's defaults: |E| = 1.1e12, so one ulp of E hides the decrease of a
     # step at gtol, and the descent stops at the floor, not in a line
