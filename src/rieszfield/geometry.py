@@ -430,9 +430,8 @@ def _numeric_tangent_project(param_bounds, retract):
         # column k of block i: retract(x_i + h e_k) - retract(x_i - h e_k)
         diffs = (ahead - behind).reshape(n, p, p).transpose(0, 2, 1)
         basis = np.linalg.svd(diffs)[0][:, :, :dim]
-        # coordinates in the basis and back, column by column: the bits of
-        # einsum("nik,nk->ni", basis, einsum("nik,ni->nk", basis, v)) per
-        # field, where einsum over a stack loops over the short axes
+        # coordinates in the basis and back, column by column: an einsum
+        # over the stack would loop over the short axes
         coords = np.stack([_row_dot(vecs, basis[:, :, j]) for j in range(dim)], axis=-1)
         return np.stack([_row_dot(coords, basis[:, i]) for i in range(p)], axis=-1)
 
