@@ -365,8 +365,6 @@ def solve_equilibrium(
     """
     d = cset.hausdorff_dim
     s = float(s)
-    if s < d:
-        raise ValueError("hypersingular regime requires s >= d")
     M = m_constant(s, d, c_sd)
     e = d / s
     scale = M * max(cset.total_measure, 1e-300) ** (-s / d)

@@ -245,8 +245,9 @@ def design_field(cset: CompactSet, rho, s: float, c_sd=None) -> FieldDesign:
     """
     d = cset.hausdorff_dim
     s = float(s)
-    if s < d:
-        raise ValueError("hypersingular regime requires s >= d")
+    if c_sd is None:
+        c_sd = riesz_constant(s, d)
+    M = m_constant(s, d, c_sd)
     if not isinstance(rho, DensityMap):
         rho = DensityMap(rho)
     vals = np.asarray(rho.evaluate(cset.nodes), dtype=float)
@@ -263,9 +264,6 @@ def design_field(cset: CompactSet, rho, s: float, c_sd=None) -> FieldDesign:
             f"target density integrates to {total:.6g}; renormalizing to unit mass",
             stacklevel=2,
         )
-    if c_sd is None:
-        c_sd = riesz_constant(s, d)
-    M = m_constant(s, d, c_sd)
     ratio = s / d
     rho_n = DensityMap(
         lambda X, _f=rho.evaluate, _Z=total: np.asarray(_f(X), dtype=float) / _Z,

@@ -358,7 +358,6 @@ def make_param_set(
     retract: Callable[[np.ndarray], np.ndarray],
     ambient_dim: int,
     n_quad: Sequence[int] = (64, 64),
-    tangent_project: Callable | None = None,
     name: str | None = None,
 ) -> CompactSet:
     """Build a set from a user-supplied chart over a parameter rectangle.
@@ -367,49 +366,18 @@ def make_param_set(
     weighted by ``chart_jacobian``.  Validation is limited to the
     weight-sum sanity of the resulting rule; smoothness of the chart is
     trusted.  Total measure, diameter and chart stretch are estimated
-    from the chart.  Tangent projection defaults to a basis from central
-    differences of ``retract`` along the ambient axes; supply an
-    analytic one when available.  A supplied projection must accept a
-    stack of vector fields, (points (n, p), vectors (..., n, p)) ->
-    (..., n, p), as the optimizer projects its whole curvature memory in
-    one call; it is probed on two fields at two quadrature nodes, and
-    one that does not return their stack's shape, or projects the stack
-    otherwise than each field on its own, raises ValueError.
+    from the chart.  Tangent projection is onto the span of the central
+    differences of ``retract`` along the ambient axes.
     """
     dim = len(param_bounds)
     counts = [int(c) for c in (n_quad if np.iterable(n_quad) else [n_quad] * dim)]
-    supplied = tangent_project is not None
-    if not supplied:
-        tangent_project = _numeric_tangent_project(param_bounds, retract)
-    cset = _chart_set(
+    return _chart_set(
         "param", {"name": name or "anonymous", "n_quad": counts},
         chart=chart, jacobian=chart_jacobian, bounds=param_bounds, counts=counts,
-        periodic=(False,) * dim, retract=retract, tangent_project=tangent_project,
+        periodic=(False,) * dim, retract=retract,
+        tangent_project=_numeric_tangent_project(param_bounds, retract),
         ambient_dim=ambient_dim,
     )
-    if supplied:
-        _check_stacked_projection(tangent_project, cset.nodes[:2])
-    return cset
-
-
-def _check_stacked_projection(tangent_project, pts):
-    # two distinct fields at the points: a projection written for one
-    # field (n, p) either fails on the stack, returns another shape, or
-    # reduces over the wrong axis, which the per-field calls expose
-    V = np.linspace(-1.0, 2.0, 2 * pts.size).reshape(2, *pts.shape)
-    contract = (
-        "tangent_project must map (points (n, p), vectors (..., n, p)) "
-        "to tangent vectors (..., n, p)"
-    )
-    try:
-        stacked = np.asarray(tangent_project(pts, V), dtype=float)
-        fields = np.stack([np.asarray(tangent_project(pts, v), dtype=float) for v in V])
-    except (ValueError, IndexError) as exc:  # numpy's shape errors
-        raise ValueError(f"{contract}; it failed on a stack of shape {V.shape}") from exc
-    if stacked.shape != V.shape:
-        raise ValueError(f"{contract}; a stack of shape {V.shape} gave {stacked.shape}")
-    if fields.shape != V.shape or not np.allclose(stacked, fields, rtol=1e-9, atol=1e-12):
-        raise ValueError(f"{contract}; the stack was not projected field by field")
 
 
 def _numeric_tangent_project(param_bounds, retract):

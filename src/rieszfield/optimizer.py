@@ -12,9 +12,10 @@ curvature pairs projected to the tangent space of the current points
 (Huang, Gallivan & Absil 2015); a quasi-Newton step that fails falls
 back to P-GD within the same iteration.  Every trial is retracted to
 the set and accepted by Armijo on its realized first-order decrease.
-Each trial is one pass over the pairs that gives its energy, tangent
+Each trial is one pass over the pairs that gives its energy, pair
 gradient and stiffness together, and an accepted trial's start the next
-iteration.  The pass walks row blocks; the distances from a block to
+iteration; the tangent gradient is formed only for the points the
+descent keeps.  The pass walks row blocks; the distances from a block to
 later points come from one matrix product of centred coordinates, and
 the rows with near pairs are recomputed from coordinate differences, so
 the closest distances and the collision guard stay exact.
@@ -218,30 +219,30 @@ def _pair_kernel(X: np.ndarray, s: float, gradient: bool = False):
     return total, r2min, G, P
 
 
-def _objective(X: np.ndarray, cset: CompactSet, fld: ExternalField, s: float, gradient=False):
-    """Energy of the points X and its tangent gradient from one pair pass.
+def _objective(X: np.ndarray, cset: CompactSet, fld: ExternalField, s: float, gradient: bool = False):
+    """Energy of the points X from one pair pass.
 
     Returns (E, r2min, G, P).  E is +inf under the collision guard (r2min
     below (1e-12 * diameter)^2, exact coincidence r2min == 0 included)
-    and on field poles.  G is None for ``gradient=False``, the tangent
-    gradient for ``True``, and for ``"finite"`` the tangent gradient only
-    when E is finite: a line-search trial of infinite energy is refused
-    anyway, and a field gradient at a pole would be inf - inf.  P is the
-    pair kernel's stiffness whenever G is not None, else None.
+    and on field poles.  With ``gradient``, G and P are the pair kernel's
+    ambient pair gradient and stiffness (else None and None);
+    ``_tangent_gradient`` completes G for the points the descent keeps.
     """
     n = len(X)
     weight = tau(s, cset.hausdorff_dim, n) / n
-    pair, r2min, G, P = _pair_kernel(X, s, gradient=bool(gradient))
+    pair, r2min, G, P = _pair_kernel(X, s, gradient=gradient)
     if r2min < (1e-12 * cset.diameter) ** 2:
         pair = np.inf
     E = pair + weight * float(np.asarray(fld.evaluate(X), dtype=float).sum())
-    if G is not None:
-        if gradient == "finite" and not np.isfinite(E):
-            G = P = None
-        else:
-            G += weight * field_gradient(fld, X, cset)
-            G = cset.tangent_project(X, G)
     return E, r2min, G, P
+
+
+def _tangent_gradient(cset, fld, s, X, G):
+    """The tangent gradient of the energy at X from its ambient pair
+    gradient G, which gains the field term in place."""
+    n = len(X)
+    G += tau(s, cset.hausdorff_dim, n) / n * field_gradient(fld, X, cset)
+    return cset.tangent_project(X, G)
 
 
 def energy(config: Configuration, fld: ExternalField, s: float) -> float:
@@ -255,7 +256,9 @@ def energy(config: Configuration, fld: ExternalField, s: float) -> float:
 
 def energy_gradient(config: Configuration, fld: ExternalField, s: float) -> np.ndarray:
     """Tangent-projected ambient gradient of the energy, one row per point."""
-    return _objective(config.points, config.cset, fld, s, gradient=True)[2]
+    X = config.points
+    G = _pair_kernel(X, s, gradient=True)[2]
+    return _tangent_gradient(config.cset, fld, s, X, G)
 
 
 def _sample_initial(cset: CompactSet, N: int, rng, mode: str, measure) -> np.ndarray:
@@ -347,13 +350,14 @@ def _two_loop(G, P, memory):
 
 
 def _descend(cset, fld, s, X, E, G, P, max_iters, gtol):
-    # (E, G, P) belong to X on entry and on return (X, G, trace,
-    # termination, trials); G is the descent gradient (_descent_gradient).
-    # Each trial is one pair pass that gives its energy, gradient and
-    # stiffness, and an accepted trial's are the next iteration's.  Exact
+    # (E, G, P) belong to X on entry, G its ambient pair gradient, and G
+    # is the descent gradient (_descent_gradient) on return (X, G, trace,
+    # termination, trials).  Each trial is one pair pass that gives its
+    # energy, pair gradient and stiffness; only the points kept, the
+    # entry's and each accepted trial's, get the tangent gradient.  Exact
     # coincidence in a trial (e.g. two points clamped to the same interval
     # endpoint) is infinite energy, not an error.
-    G = _descent_gradient(cset, X, G)
+    G = _descent_gradient(cset, X, _tangent_gradient(cset, fld, s, X, G))
     step = 1.0  # P-GD step, in units of the stiffness
     # curvature pairs (dx, dG, dx.dG), oldest first, of a P-GD step
     # accepted at its first trial and the quasi-Newton steps since; the
@@ -369,7 +373,7 @@ def _descend(cset, fld, s, X, E, G, P, max_iters, gtol):
         # Armijo asks a share of the first-order decrease <G, X - X1>
         nonlocal trials
         trials += 1
-        E1, _, G1, P1 = _objective(X1, cset, fld, s, gradient="finite")
+        E1, _, G1, P1 = _objective(X1, cset, fld, s, gradient=True)
         return np.isfinite(E1) and E - E1 >= _ARMIJO_C * decrease, E1, G1, P1
 
     for it in range(max_iters):
@@ -403,7 +407,7 @@ def _descend(cset, fld, s, X, E, G, P, max_iters, gtol):
                 return stop("line_search_exhausted")
             if k == 0:  # only a step accepted at its first trial doubles
                 step *= 2.0
-        G1 = _descent_gradient(cset, X1, G1)
+        G1 = _descent_gradient(cset, X1, _tangent_gradient(cset, fld, s, X1, G1))
         # a P-GD step that had to halve keeps no pair (the memory is empty
         # after P-GD, so k is that iteration's)
         if memory or k == 0:
@@ -448,10 +452,12 @@ def minimize(
       iteration on as P-GD at the current P-GD step; an iteration that
       takes the P-GD direction drops the pairs.
 
-    Each trial is one pair pass that gives its energy, gradient and
+    Each trial is one pair pass that gives its energy, pair gradient and
     stiffness, and an accepted trial's start the next iteration; the
     initial sample's pass, which checks that its energy is finite,
-    starts the first.  A restart stops, and ``termination`` says which
+    starts the first.  The field gradient and the tangent projection
+    are formed only for the points the descent keeps: the sample and
+    each accepted trial.  A restart stops, and ``termination`` says which
     way, when |G| drops below grad_tol * N^(1+s/d) / diameter^(s+1)
     (``grad_tol``), when a refused P-GD trial's first-order decrease is
     at most 64 ulps of |E|, below which the energy comparison cannot
@@ -477,7 +483,7 @@ def minimize(
         rng = np.random.default_rng([settings.rng_seed, r])
         for _ in range(100):
             X = _sample_initial(cset, N, rng, settings.init, measure)
-            E, _, G, P = _objective(X, cset, fld, s, gradient="finite")
+            E, _, G, P = _objective(X, cset, fld, s, gradient=True)
             if np.isfinite(E):
                 break
         else:

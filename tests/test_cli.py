@@ -264,7 +264,7 @@ def test_design_round_trip(tmp_path, capsys):
     assert desc["round_trip"]["max_rel_density_error"] < 1e-6
     assert desc["renormalized"] is False
     # the emitted descriptor must load as a usable field
-    cset = set_from_descriptor(json.loads(open(set_json).read()))
+    cset = set_from_descriptor(json.loads(Path(set_json).read_text()))
     fld = field_from_descriptor(desc["field"], cset, s=desc["field"]["s"])
     vals = fld.evaluate(cset.nodes)
     assert np.allclose(vals, vals[0])  # uniform target: constant q

@@ -1,8 +1,11 @@
 """Every exported name resolves: the package's lazy exports and the
-``__all__`` of each submodule."""
+``__all__`` of each submodule.  Importing the package loads none of them."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import rieszfield
 
@@ -32,3 +35,17 @@ def test_submodule_exports_resolve():
         assert missing == [], mod.__name__
         checked += len(exported)
     assert checked > 0
+
+
+def test_package_import_loads_no_submodule():
+    # a fresh interpreter that sees only the package's source directory
+    src = os.path.dirname(os.path.dirname(rieszfield.__file__))
+    probe = (
+        "import sys, rieszfield; print(sorted(m for m in sys.modules"
+        " if m.startswith(('rieszfield.', 'numpy', 'scipy'))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]"

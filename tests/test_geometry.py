@@ -137,8 +137,8 @@ def test_param_set_rejects_three_axes():
 
 @pytest.mark.parametrize("kind", ["sphere", "torus"])
 def test_param_set_default_tangent_project(kind, sphere, torus24, rng):
-    # the default projection, built from the retraction alone, must match
-    # the analytic one, also where an ambient axis is normal to the set
+    # a user chart's projection, built from the retraction alone, must
+    # match the analytic one, also where an ambient axis is normal to the set
     ref = {"sphere": sphere, "torus": torus24}[kind]
     built = make_param_set(
         ref.chart, ref.chart_jacobian, ref.param_bounds, ref.retract,
@@ -185,27 +185,6 @@ def test_row_dot_matches_numpy_reductions(p, shape, rng):
     # a stack of fields against one field broadcasts like np.sum
     one = V[(0,) * (V.ndim - 2)]
     assert np.array_equal(_row_dot(U, one), np.sum(U * one, axis=-1))
-
-
-def test_supplied_tangent_project_must_accept_stacks(sphere):
-    def stacked(pts, vecs):  # reduces over the last axis: takes stacks
-        return vecs - np.sum(vecs * pts, axis=-1, keepdims=True) * pts
-
-    def one_field_sum(pts, vecs):  # reduces over axis 1, the points of a stack
-        return vecs - np.sum(vecs * pts, axis=1, keepdims=True) * pts
-
-    def one_field_einsum(pts, vecs):  # refuses a stack
-        return vecs - np.einsum("ij,ij->i", vecs, pts)[:, None] * pts
-
-    def flattening(pts, vecs):  # right values, wrong shape
-        return stacked(pts, vecs).reshape(-1, pts.shape[1])
-
-    parts = (sphere.chart, sphere.chart_jacobian, sphere.param_bounds, sphere.retract)
-    built = make_param_set(*parts, ambient_dim=3, n_quad=(8, 8), tangent_project=stacked)
-    assert built.tangent_project is stacked
-    for bad in (one_field_sum, one_field_einsum, flattening):
-        with pytest.raises(ValueError, match=r"\(points \(n, p\), vectors \(\.\.\., n, p\)\)"):
-            make_param_set(*parts, ambient_dim=3, n_quad=(8, 8), tangent_project=bad)
 
 
 def test_descriptor_round_trip(interval02, sphere, torus24):

@@ -702,3 +702,36 @@ def test_one_pair_pass_per_trial(monkeypatch):
     assert trials >= len(res.trace)
     assert passes["pair"] == trials + 2
     assert res.trials == trials  # no trial was absorbed by the retraction
+
+
+def test_refused_trials_take_no_tangent_gradient(interval02, monkeypatch):
+    # only the kept points get the field gradient and tangent projection:
+    # the sample and each accepted trial, not a refused trial
+    calls = []
+    gradient = optimizer.field_gradient
+
+    def counted(*args):
+        calls.append(1)
+        return gradient(*args)
+
+    monkeypatch.setattr(optimizer, "field_gradient", counted)
+    res = minimize(interval02, catalog("e"), 4.0, 60, OptimizerSettings(restarts=1, max_iters=200))
+    # every iteration but a stopping one ends on an accepted trial
+    accepted = len(res.trace) - (res.termination != "max_iters")
+    assert res.trials > accepted  # the run refuses some trials
+    assert len(calls) == 1 + accepted
+
+
+def test_energy_gradient_does_not_evaluate_the_field(sphere, rng):
+    base = catalog("a")
+    calls = []
+
+    def evaluate(X):
+        calls.append(1)
+        return base.evaluate(X)
+
+    counting = ExternalField(evaluate, base.gradient, label="counting")
+    cfg = Configuration(sphere.retract(rng.normal(size=(50, 3))), sphere)
+    G = energy_gradient(cfg, counting, 2.0)
+    assert calls == []
+    assert np.array_equal(G, energy_gradient(cfg, base, 2.0))
