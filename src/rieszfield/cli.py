@@ -21,7 +21,7 @@ from . import diagnostics
 from ._svg import project_points, scatter_svg, support_contour
 from .constants import m_constant, riesz_constant
 from .equilibrium import EquilibriumError, integrate_adaptive, solve_equilibrium
-from .fields import density_from_descriptor, design_field, field_from_descriptor
+from .fields import _UNIT_MASS_TOL, density_from_descriptor, design_field, field_from_descriptor
 from .geometry import set_from_descriptor
 from .optimizer import (
     OptimizerFailure,
@@ -60,20 +60,14 @@ def _require(cfg: dict, key: str, where: str):
     return cfg[key]
 
 
-def _problem_set(set_desc, s):
-    """The set of a descriptor and s as a float, checked for s >= d."""
+def _problem(set_desc, s, override):
+    """The set of a descriptor, s as a float and C(s, d) on the set."""
     try:
         cset = set_from_descriptor(set_desc)
     except (ValueError, TypeError, KeyError) as e:
         raise CliError(EXIT_CONFIG, f"bad set descriptor: {e}") from e
     s = float(s)
-    if s < cset.hausdorff_dim:
-        raise CliError(
-            EXIT_CONFIG,
-            f"hypersingular regime requires s >= d; got s={s:g} on a set of "
-            f"dimension d={cset.hausdorff_dim}",
-        )
-    return cset, s
+    return cset, s, riesz_constant(s, cset.hausdorff_dim, override)
 
 
 def _settings_from(cfg_settings: dict, seed=None) -> OptimizerSettings:
@@ -200,10 +194,9 @@ def _solve_config(cfg: dict, where, out_dir, label=None, entry=None):
     """
     set_desc, field_desc, s, n = (_require(cfg, key, where) for key in ("set", "field", "s", "n"))
     n = _whole(n, "n")
-    cset, s = _problem_set(set_desc, s)
+    cset, s, const = _problem(set_desc, s, cfg.get("c_override"))
     if n < 2:
         raise CliError(EXIT_CONFIG, f"need at least 2 points, got n={n}")
-    const = riesz_constant(s, cset.hausdorff_dim, cfg.get("c_override"))
     try:
         fld = field_from_descriptor(field_desc, cset, s)
     except (ValueError, TypeError, KeyError) as e:
@@ -278,16 +271,15 @@ def cmd_reproduce(args) -> int:
 def cmd_design(args) -> int:
     set_desc = _load_json(args.set_json)
     rho_desc = _load_json(args.rho_json)
-    cset, s = _problem_set(set_desc, args.s)
+    cset, s, const = _problem(set_desc, args.s, args.override)
     rho = density_from_descriptor(rho_desc, cset)
-    total = integrate_adaptive(cset, rho.evaluate, breaks=rho.breaks, tol=1e-12)
-    if abs(total - 1.0) > 1e-4:
+    total = integrate_adaptive(cset, rho.evaluate, breaks=rho.breaks)
+    if abs(total - 1.0) > _UNIT_MASS_TOL:
         raise CliError(
             EXIT_CONFIG,
-            f"target density integrates to {total:.6g}; normalize it to unit "
-            f"mass (tolerance 1e-4) before designing a field",
+            f"target density integrates to {total:.6g}; normalize it to unit mass (tolerance "
+            f"{np.format_float_scientific(_UNIT_MASS_TOL, trim='-', exp_digits=1)}) before designing a field",
         )
-    const = riesz_constant(s, cset.hausdorff_dim, args.override)
     design = design_field(cset, rho, s, c_sd=const)
     measure = _solve_measure(cset, design.q, s, const)
     target = np.asarray(design.target_density.evaluate(cset.nodes), dtype=float)

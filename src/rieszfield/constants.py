@@ -54,8 +54,12 @@ class RieszConstant:
             raise ValueError(f"unknown provenance {self.provenance!r}")
         if not (math.isfinite(self.value) and self.value > 0):
             raise ValueError("constant must be finite and positive")
-        if self.s < self.d:
-            raise ValueError("hypersingular regime requires s >= d")
+        _require_hypersingular(self.s, self.d)
+
+
+def _require_hypersingular(s: float, d: int):
+    if s < d:
+        raise ValueError(f"hypersingular regime requires s >= d; got s={s:g} on a set of dimension d={d}")
 
 
 def zeta(s: float) -> float:
@@ -93,7 +97,8 @@ def riesz_constant(s: float, d: int, override: float | None = None) -> RieszCons
     volume).  For d = 2, s > 2 the conjectured triangular-lattice value
     ``HEX_CELL_AREA**(s/2) * epstein_zeta_hex(s)`` is returned, flagged
     through ``provenance``.  Any other combination raises unless
-    ``override`` supplies the constant; a non-finite s always raises.
+    ``override`` supplies the constant; a non-finite s or one below d
+    always raises.
     """
     s = float(s)
     if not math.isfinite(s):
@@ -101,10 +106,9 @@ def riesz_constant(s: float, d: int, override: float | None = None) -> RieszCons
     d = int(d)
     if d < 1:
         raise ValueError("d must be a positive integer")
+    _require_hypersingular(s, d)
     if override is not None:
         return RieszConstant(s, d, float(override), "user_override")
-    if s < d:
-        raise ValueError("hypersingular regime requires s >= d")
     if s == d:
         # unit-ball volume; d = 1 via the gamma formula rounds to
         # 1.9999999999999998, so take the exact value directly

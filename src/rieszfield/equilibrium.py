@@ -49,6 +49,9 @@ _GL3_X, _GL3_W = np.polynomial.legendre.leggauss(3)
 # refinement rounds of the adaptive rule, and its child-node budget
 _MAX_ROUNDS = 48
 _NODE_BUDGET = 500_000
+# error bounds of the total mass in solve_equilibrium and of integrate_adaptive
+_MASS_TOL = 1e-9
+_INTEGRAL_TOL = 1e-12
 # initial cells per axis, by parameter dimension
 _CELLS_PER_AXIS = {1: 32, 2: 24}
 
@@ -345,23 +348,22 @@ def solve_equilibrium(
     field,
     s: float,
     c_sd: RieszConstant | None = None,
-    tol: float = 1e-9,
     budget: int = _NODE_BUDGET,
 ) -> EquilibriumMeasure:
     """Solve the mass equation for L1 and return the full measure.
 
     ``field`` needs an ``evaluate`` map over ambient points; an optional
     ``breaks`` attribute ({axis: parameter values}) pins known kinks of
-    q to quadrature cell edges.  ``tol`` bounds the rule's own error
-    estimate for the total mass integral; refinement also stops once
-    the rule has ``budget`` child nodes, starting from 32 cells on
-    curves and 24 x 24 on surfaces.  The measure's ``solver_info`` holds
-    the rounds, cells, nodes, error estimate and field evaluations of
-    the final rule, the passes of the
+    q to quadrature cell edges.  Refinement stops once the rule's own
+    error estimate for the total mass integral is below 1e-9
+    (``_MASS_TOL``), or once the rule has ``budget`` child nodes,
+    starting from 32 cells on curves and 24 x 24 on surfaces.  The
+    measure's ``solver_info`` holds the rounds, cells, nodes, error
+    estimate and field evaluations of the final rule, the passes of the
     mass sum over the whole solve (``mass_evaluations``), and
     ``stop_reason``: ``tol``, ``budget`` or ``max_rounds``.  ``tol`` also
     needs L1 settled: last round's L1 must solve this round's mass
-    equation to within ``tol``.
+    equation to within the tolerance.
     """
     d = cset.hausdorff_dim
     s = float(s)
@@ -377,10 +379,10 @@ def solve_equilibrium(
         # boundary and the outermost node at every level while both
         # levels agree on zero, and their vertex values expose the
         # crossing.  L has settled once last round's L solves this
-        # round's mass equation to within tol
+        # round's mass equation to within the tolerance
         nonlocal L, passes
         mass = _Mass(cells.cq.ravel(), cells.cw.ravel(), M, e)
-        settled = L is not None and abs(mass(L) - 1.0) <= tol
+        settled = L is not None and abs(mass(L) - 1.0) <= _MASS_TOL
         L = _brent_l1(mass, scale)
         passes += mass.passes
         allq = np.concatenate([cells.q, cells.cq, cells.vq], axis=1)
@@ -388,11 +390,11 @@ def solve_equilibrium(
         qmin = np.where(fin, allq, np.inf).min(axis=1)
         qmax = np.where(fin, allq, -np.inf).max(axis=1)
         hidden = np.abs(cells.cw).sum(axis=1) * _level_density(qmin, L, M, e)
-        straddle = (qmin < L) & (L < qmax) & (hidden > 0.25 * tol / len(qmin))
+        straddle = (qmin < L) & (L < qmax) & (hidden > 0.25 * _MASS_TOL / len(qmin))
         return _level_density(cells.q, L, M, e), _level_density(cells.cq, L, M, e), straddle, settled
 
     cells = _Cells(cset, field.evaluate, breaks=getattr(field, "breaks", None))
-    info = _refine(cells, integrand, tol, budget) | {"mass_evaluations": passes}
+    info = _refine(cells, integrand, _MASS_TOL, budget) | {"mass_evaluations": passes}
     return EquilibriumMeasure(
         cset, field, s, M, L,
         cells.cw.ravel(), cells.cq.ravel(),
@@ -400,13 +402,9 @@ def solve_equilibrium(
     )
 
 
-def integrate_adaptive(
-    cset: CompactSet,
-    fn: Callable[[np.ndarray], np.ndarray],
-    breaks=None,
-    tol: float = 1e-11,
-) -> float:
-    """Adaptive integral of fn over the set, refined by split-compare.
+def integrate_adaptive(cset: CompactSet, fn: Callable[[np.ndarray], np.ndarray], breaks=None) -> float:
+    """Adaptive integral of fn over the set, refined by split-compare
+    until the error estimate is below 1e-12 (``_INTEGRAL_TOL``).
 
     Shares the cells and the refinement loop of the equilibrium solver.  Integrands
     whose support ends between quadrature nodes need their edges passed
@@ -420,5 +418,5 @@ def integrate_adaptive(
         return finite(cells.q), finite(cells.cq), False, True
 
     cells = _Cells(cset, fn, breaks=breaks)
-    _refine(cells, integrand, tol, _NODE_BUDGET)
+    _refine(cells, integrand, _INTEGRAL_TOL, _NODE_BUDGET)
     return float(np.dot(cells.cw.ravel(), finite(cells.cq).ravel()))

@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
+# a target mass farther than this from 1 is renormalized here, refused by the CLI
+_UNIT_MASS_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -255,10 +257,10 @@ def design_field(cset: CompactSet, rho, s: float, c_sd=None) -> FieldDesign:
         raise ValueError("density must be nonnegative")
     if not np.any(vals > 0):
         raise ValueError("density is zero at every quadrature node")
-    total = integrate_adaptive(cset, rho.evaluate, breaks=rho.breaks, tol=1e-12)
+    total = integrate_adaptive(cset, rho.evaluate, breaks=rho.breaks)
     if total <= 0:
         raise ValueError("density integrates to zero")
-    renorm = abs(total - 1.0) > 1e-4
+    renorm = abs(total - 1.0) > _UNIT_MASS_TOL
     if renorm:
         warnings.warn(
             f"target density integrates to {total:.6g}; renormalizing to unit mass",

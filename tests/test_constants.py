@@ -98,6 +98,15 @@ def test_subcritical_s_rejected():
         riesz_constant(1.5, 2)
 
 
+def test_subcritical_message_names_s_and_d():
+    # one wording whichever way the constant is reached, override or not
+    message = r"hypersingular regime requires s >= d; got s=1.5 on a set of dimension d=2$"
+    for make in (lambda: riesz_constant(1.5, 2), lambda: riesz_constant(1.5, 2, override=3.0),
+                 lambda: RieszConstant(1.5, 2, 3.0, "user_override")):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+
 def test_constant_record_validation():
     with pytest.raises(ValueError):
         RieszConstant(2.0, 1, -1.0, "exact_d1")

@@ -132,9 +132,11 @@ def test_s_value_consistency(measure_e):
     assert measure_e.s_value == pytest.approx(expect, rel=1e-9)
 
 
-def test_tolerance_refinement(interval02):
-    loose = solve_equilibrium(interval02, catalog("e"), 4.0, tol=1e-6)
-    tight = solve_equilibrium(interval02, catalog("e"), 4.0, tol=1e-11)
+def test_tolerance_refinement(interval02, monkeypatch):
+    monkeypatch.setattr(equilibrium, "_MASS_TOL", 1e-6)
+    loose = solve_equilibrium(interval02, catalog("e"), 4.0)
+    monkeypatch.setattr(equilibrium, "_MASS_TOL", 1e-11)
+    tight = solve_equilibrium(interval02, catalog("e"), 4.0)
     assert loose.l1 == pytest.approx(tight.l1, abs=1e-6)
     assert tight.solver_info["nodes"] >= loose.solver_info["nodes"]
 
@@ -161,12 +163,13 @@ def test_mass_evaluations_per_round(example_id, sphere, torus24, interval02):
     assert abs(m.mass - 1.0) <= 1e-12
 
 
-def test_settle_gate_follows_tol(interval02):
+def test_settle_gate_follows_tol(interval02, monkeypatch):
     # L1 settles once last round's L1 solves this round's mass equation to
     # within tol, so every tol stops on tol, and a tighter one never sooner
     rounds = []
     for tol in (1e-5, 1e-6, 1e-7, 1e-8, 1e-9):
-        m = solve_equilibrium(interval02, catalog("e"), 4.0, tol=tol)
+        monkeypatch.setattr(equilibrium, "_MASS_TOL", tol)
+        m = solve_equilibrium(interval02, catalog("e"), 4.0)
         assert m.solver_info["stop_reason"] == "tol", tol
         rounds.append(m.solver_info["rounds"])
     assert rounds == sorted(rounds)
@@ -220,13 +223,13 @@ def test_constant_for_another_s_d_rejected(interval02, sphere):
 
 
 def test_integrate_adaptive(interval02):
-    got = integrate_adaptive(interval02, lambda X: np.sin(np.atleast_2d(X)[:, 0]), tol=1e-12)
+    got = integrate_adaptive(interval02, lambda X: np.sin(np.atleast_2d(X)[:, 0]))
     assert got == pytest.approx(1.0 - math.cos(2.0), rel=1e-12)
 
 
 def test_integrate_adaptive_with_break(interval02):
     f = lambda X: np.abs(np.atleast_2d(X)[:, 0] - 0.7)
-    got = integrate_adaptive(interval02, f, breaks={0: (0.7,)}, tol=1e-13)
+    got = integrate_adaptive(interval02, f, breaks={0: (0.7,)})
     assert got == pytest.approx((0.7**2 + 1.3**2) / 2.0, rel=1e-12)
 
 

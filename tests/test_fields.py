@@ -48,7 +48,7 @@ def test_qb_values():
 def test_caps_normalizer_closed_form():
     # reference: the adaptive integral of the profile over the sphere
     breaks = {0: (-1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))}
-    ref = integrate_adaptive(make_sphere(), _caps_raw, breaks=breaks, tol=1e-13)
+    ref = integrate_adaptive(make_sphere(), _caps_raw, breaks=breaks)
     assert _CAPS_NORMALIZER == pytest.approx(ref, rel=1e-13)
 
 
@@ -261,7 +261,7 @@ def test_density_descriptors(interval02, sphere):
     caps = density_from_descriptor({"kind": "polar_caps"}, sphere)
     # the kink circles need the declared breaks; the fixed product rule
     # alone only reaches ~1e-5 here
-    total = integrate_adaptive(sphere, caps.evaluate, breaks=caps.breaks, tol=1e-12)
+    total = integrate_adaptive(sphere, caps.evaluate, breaks=caps.breaks)
     assert total == pytest.approx(1.0, abs=1e-10)
     tq = density_from_descriptor({"kind": "truncated_quadratic"}, interval02)
     assert tq.evaluate(np.array([[0.5]]))[0] == pytest.approx(1.0, rel=1e-14)
