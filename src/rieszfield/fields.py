@@ -19,7 +19,7 @@ import numpy as np
 
 from .constants import m_constant, riesz_constant
 from .equilibrium import integrate_adaptive, solve_equilibrium
-from .geometry import CompactSet, _by_rows, _row_dot
+from .geometry import CompactSet, _by_rows, _descriptor, _row_dot
 
 __all__ = [
     "ExternalField",
@@ -350,7 +350,7 @@ def perturbed_density(cset: CompactSet, rho, s: float, delta: float) -> Perturbe
 
 def density_from_descriptor(desc: dict, cset: CompactSet) -> DensityMap:
     """Built-in density profiles addressable from config files."""
-    kind = desc.get("kind")
+    kind = _descriptor(desc, "density descriptor").get("kind")
     if kind == "uniform":
         c = 1.0 / cset.total_measure
         return DensityMap(lambda X: np.full(len(np.atleast_2d(X)), c), label="uniform")
@@ -382,7 +382,7 @@ def _expression_field(desc: dict) -> ExternalField:
     evals = []
     grads = []
     for term in desc.get("terms", []):
-        ttype = term.get("type")
+        ttype = _descriptor(term, "expression term").get("type")
         if ttype == "polynomial":
             axis = int(term.get("axis", 0))
             coeffs = np.asarray(term["coeffs"], dtype=float)
@@ -419,7 +419,7 @@ def _expression_field(desc: dict) -> ExternalField:
 
 def field_from_descriptor(desc: dict, cset: CompactSet, s: float | None = None) -> ExternalField:
     """Field from a JSON descriptor: catalog, designed, or expression."""
-    kind = desc.get("kind")
+    kind = _descriptor(desc, "field descriptor").get("kind")
     if kind == "catalog":
         return catalog(desc["id"])
     if kind == "designed":

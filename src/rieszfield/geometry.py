@@ -411,9 +411,17 @@ def register_param_set(name: str, builder: Callable[..., CompactSet]) -> None:
     _PARAM_REGISTRY[str(name)] = builder
 
 
+def _descriptor(desc, what: str) -> dict:
+    """A JSON descriptor as given; anything but an object raises
+    TypeError naming ``what``."""
+    if not isinstance(desc, dict):
+        raise TypeError(f"{what} must be a JSON object, got {desc!r}")
+    return desc
+
+
 def set_from_descriptor(desc: dict) -> CompactSet:
     """Rebuild a set from its JSON descriptor."""
-    kind = desc.get("kind")
+    kind = _descriptor(desc, "set descriptor").get("kind")
     opts = {k: v for k, v in desc.items() if k != "kind"}
     if kind == "interval":
         return make_interval(**opts)

@@ -101,6 +101,8 @@ class OptimizerSettings:
             setattr(self, key, _whole(getattr(self, key), key))
         if self.max_iters <= 0 or self.restarts <= 0 or not 0 < self.grad_tol < math.inf:
             raise ValueError("max_iters and restarts must be positive, grad_tol positive and finite")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
         if self.init not in ("weighted", "density", "stratified"):
             raise ValueError(f"unknown init mode {self.init!r}")
 

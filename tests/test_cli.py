@@ -195,6 +195,48 @@ def test_solve_rejects_non_finite_s(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize(
+    "command, overrides, message",
+    [
+        ("solve", {"set": "sphere"}, "bad set descriptor: set descriptor must be a JSON object, got 'sphere'"),
+        ("solve", {"field": ["catalog"]}, "bad field descriptor: field descriptor must be a JSON object"),
+        ("solve", {"field": {"kind": "designed", "rho": "uniform"}},
+         "bad field descriptor: density descriptor must be a JSON object, got 'uniform'"),
+        ("solve", {"field": {"kind": "expression", "terms": ["x"]}},
+         "bad field descriptor: expression term must be a JSON object, got 'x'"),
+        ("design", {"set": "sphere"}, "bad set descriptor: set descriptor must be a JSON object, got 'sphere'"),
+        ("design", {"rho": [1, 2]}, "density descriptor must be a JSON object, got [1, 2]"),
+    ],
+    ids=["solve-set", "solve-field", "solve-designed-rho", "solve-expression-term", "design-set", "design-rho"],
+)
+def test_non_object_descriptor_rejected(tmp_path, capsys, monkeypatch, command, overrides, message):
+    def no_solve(*a, **kw):
+        raise AssertionError("the solve started before validation")
+
+    monkeypatch.setattr(cli, "solve_equilibrium", no_solve)
+    out = tmp_path / "out"
+    if command == "solve":
+        argv = ["solve", _tiny_config(tmp_path, **overrides)]
+    else:
+        files = {"set": {"kind": "interval", "a": 0.0, "b": 2.0}, "rho": {"kind": "uniform"}} | overrides
+        argv = ["design", *(_write_json(tmp_path / f"{key}.json", files[key]) for key in ("set", "rho")), "--s", "4"]
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solve_rejects_non_object_config(tmp_path, capsys):
+    cfg = _write_json(tmp_path / "run.json", [{"set": {"kind": "interval", "a": 0.0, "b": 2.0}}])
+    assert cli.main(["solve", cfg]) == 2
+    assert f"{cfg}: run config must be a JSON object" in capsys.readouterr().err
+
+
+def test_negative_seed_rejected_before_run(recorded_runs, capsys):
+    assert cli.main(["reproduce", "e", "--seed", "-3"]) == 2
+    assert recorded_runs == []
+    assert "bad optimizer settings: rng_seed must be non-negative, got -3" in capsys.readouterr().err
+
+
 def test_solve_warns_on_budget_stop(tmp_path, capsys, monkeypatch, validate_report_schema):
     # a node budget below the initial rule's 192 nodes: the run completes
     # on a rule that never met tol, and says so

@@ -460,6 +460,9 @@ def test_settings_validation():
                        ("max_iters", "10"), ("restarts", True)):
         with pytest.raises(ValueError, match=f"{key} must be a whole number"):
             OptimizerSettings(**{key: value})
+    # numpy's default_rng refuses a negative seed, but only once a restart starts
+    with pytest.raises(ValueError, match="rng_seed must be non-negative, got -3"):
+        OptimizerSettings(rng_seed=-3)
 
 
 def test_settings_accept_whole_floats():
