@@ -66,11 +66,18 @@ def _problem(set_desc, s, override):
         cset = set_from_descriptor(set_desc)
     except (ValueError, TypeError, KeyError) as e:
         raise CliError(EXIT_CONFIG, f"bad set descriptor: {e}") from e
-    s = float(s)
+    try:
+        s = float(s)
+    except (TypeError, ValueError) as e:
+        raise CliError(EXIT_CONFIG, f"s must be a number, got {s!r}") from e
     return cset, s, riesz_constant(s, cset.hausdorff_dim, override)
 
 
 def _settings_from(cfg_settings: dict, seed=None) -> OptimizerSettings:
+    if not isinstance(cfg_settings, (dict, type(None))):
+        raise CliError(
+            EXIT_CONFIG, f"bad optimizer settings: settings must be an object, got {cfg_settings!r}"
+        )
     opts = dict(cfg_settings or {})
     if seed is not None:
         opts["rng_seed"] = _whole(seed, "seed")
@@ -194,6 +201,8 @@ def _solve_config(cfg: dict, where, out_dir, label=None, entry=None):
     """
     set_desc, field_desc, s, n = (_require(cfg, key, where) for key in ("set", "field", "s", "n"))
     n = _whole(n, "n")
+    if not isinstance(cfg.get("label", ""), str):
+        raise CliError(EXIT_CONFIG, f"label must be a string, got {cfg['label']!r}")
     cset, s, const = _problem(set_desc, s, cfg.get("c_override"))
     if n < 2:
         raise CliError(EXIT_CONFIG, f"need at least 2 points, got n={n}")

@@ -15,10 +15,11 @@ the set and accepted by Armijo on its realized first-order decrease.
 Each trial is one pass over the pairs that gives its energy, pair
 gradient and stiffness together, and an accepted trial's start the next
 iteration; the tangent gradient is formed only for the points the
-descent keeps.  The pass walks row blocks; the distances from a block to
-later points come from one matrix product of centred coordinates, and
-the rows with near pairs are recomputed from coordinate differences, so
-the closest distances and the collision guard stay exact.
+descent keeps.  The pass walks square tiles of pairs; an off-diagonal
+tile's distances come from one matrix product of centred coordinates
+(on a line, from differences), and its rows with near pairs are
+recomputed from coordinate differences, so the closest distances and
+the collision guard stay exact.
 """
 
 from __future__ import annotations
@@ -118,14 +119,19 @@ _MEMORY = 8
 # |E| ends the restart: the energy comparison cannot resolve it
 _FLOOR_ULPS = 64
 
-# Entries per block of squared distances: 2^17 doubles = 1 MiB.  A block
-# keeps two such arrays alive, 1/r^2 (overwritten by the gradient
-# weights) and w = r^-s, so the pair is 2 MiB, the L2 of one core of the
-# 2-core Xeon host this was measured on.  Blocks of 2^15 or fewer entries
-# were slower at N = 4000 from per-block overhead.  The two Gram factors
-# that write the off-diagonal blocks are (p + 2) * N doubles each, 160 KB
-# at N = 4000 on the sphere.
-_BLOCK_ENTRIES = 1 << 17
+# Side of the square tiles of the pair pass; N is split evenly into
+# ceil(N / _TILE) runs.  A tile keeps two arrays of up to _TILE^2
+# doubles alive (1/r^2, overwritten by the gradient weights, and r^-s),
+# 0.7 MB at 208, inside the 2 MiB L2 of one core of the 2-core Xeon host
+# this was measured on.  Energy and gradient on the sphere at s = 4 took,
+# of the time of the 2^17-entry row blocks this replaced: at N = 4000,
+# 0.68-0.76 for sides 176-208, 0.71-0.74 at 224, 0.74-0.79 at 240,
+# 0.84-0.87 at 256 and 1.03 at 320; at N = 1000, 0.52-0.69 for 176-240.
+# Side by side, 208 took 0.69-0.70 and 224 0.71-0.72 at N = 4000.
+# Runs of _TILE with a short last one took 1.11x (N = 1000) and 1.23x
+# (N = 4000) of the even split.  208 is the fastest side that keeps
+# N = 200 one tile.
+_TILE = 208
 
 
 def _min_distance(X: np.ndarray) -> float:
@@ -135,90 +141,106 @@ def _min_distance(X: np.ndarray) -> float:
 
 
 def _pair_kernel(X: np.ndarray, s: float, gradient: bool = False):
-    """One pass over the pairs of X in row blocks of squared distances.
+    """One pass over the pairs of X in square tiles of squared distances.
 
     Returns (energy, r2min, G, P): the pair energy over ordered pairs,
     sum_{i != j} |x_i - x_j|^(-s), the smallest squared distance (inf
     for fewer than two points) and, with ``gradient``, the ambient pair
     gradient and the per-point stiffness P_i = 2s(s+1) sum_{j != i}
     |x_i - x_j|^(-s-2), the radial second derivative of point i's pair
-    terms (else None and None).  Each unordered pair is visited once; peak
-    memory is one block.  r2min is read before the block is overwritten.
+    terms (else None and None).  The points are split evenly into
+    ceil(N / _TILE) runs; each run is a tile with itself and with every
+    later run, so each unordered pair is visited once and peak memory is
+    one tile.  r2min is read before a tile is overwritten.
 
-    The pairs within a row block are exact coordinate differences
-    (``pdist``), so a call with one row block is exactly that.  With
-    several, each off-diagonal block is one matrix product
-    [y_i, a_i, 1] . [-2 y_j, 1, a_j] = |y_i - y_j|^2, where y is x less
-    its bounding-box midpoint and a = |y|^2.  Its rounding is about
-    eps * max a, so the rows of a block that reach under cut = 1e-4 *
-    max a are recomputed from coordinate differences.  Every entry under
-    the cut is then exact, and so is r2min whenever it is under the cut,
-    which covers the collision guard and coincidence (r2min == 0); other
-    entries are within about 1e-11 relative.
+    A diagonal tile's pairs are exact coordinate differences (``pdist``),
+    so a call with N <= _TILE is exactly that.  Each off-diagonal tile is
+    one matrix product [y_i, a_i, 1] . [-2 y_j, 1, a_j] = |y_i - y_j|^2,
+    where y is x less its bounding-box midpoint and a = |y|^2.  Its
+    rounding is about eps * max a, so the rows of a tile that reach under
+    cut = 1e-4 * max a are recomputed from coordinate differences.  Every
+    entry under the cut is then exact, and so is r2min whenever it is
+    under the cut, which covers the collision guard and coincidence
+    (r2min == 0); other entries are within about 1e-11 relative.
 
-    Per block the squared distances are replaced in place by 1/r^2, and
+    Per tile the squared distances are replaced in place by 1/r^2, and
     w = (1/r^2)^(s/2) is one power expression for every s: numpy copies
     for s = 2 and squares for s = 4, so libm ``pow`` runs only for other
     s.  The gradient weights c = w/r^2 = |x_i - x_j|^(-s-2) overwrite
-    1/r^2.  The gradient needs sum_j c_ij x_j and sum_j c_ij per row (and
-    per column of an off-diagonal block); one matrix product of c with
-    [X | 1] gives both, and the sums of c are also P / (2s(s+1)).
+    1/r^2.  The gradient is 2s (sum_j c_ij x_j - x_i sum_j c_ij); a
+    tile's product with [X | 1] gives both sums for its rows, and its
+    transpose's for its columns.  They gather in one (N, p + 1) array,
+    from which G and P (2s(s+1) sum_j c_ij) are formed at the end.  On a
+    line that difference of two nearly equal terms cancels, so there a
+    pass of more than one run forms every tile from the per-pair
+    differences x_i - x_j, with no Gram product, and gathers
+    sum_j c_ij (x_j - x_i) directly.
     """
-    n = len(X)
-    rows = max(1, _BLOCK_ENTRIES // max(n, 1))
+    n, p = X.shape
+    runs = max(1, -(-n // _TILE))
+    edges = [n * k // runs for k in range(runs + 1)]
+    line = p == 1 and runs > 1
     total, r2min = 0.0, np.inf
-    G = np.zeros_like(X) if gradient else None
-    P = np.zeros(n) if gradient else None
-    X1 = np.hstack([X, np.ones((n, 1))]) if gradient else None
-    if rows < n:
+    # per point: sum_j c_ij x_j (or, on a line, sum_j c_ij (x_j - x_i)), then sum_j c_ij
+    A = np.zeros((n, p + 1)) if gradient else None
+    X1 = np.hstack([X, np.ones((n, 1))]) if gradient and not line else None
+    ones = np.ones(n) if runs > 1 else None
+    if runs > 1 and not line:
         Y = X - 0.5 * (X.min(axis=0) + X.max(axis=0))
         a = np.einsum("ij,ij->i", Y, Y)
-        ones = np.ones(n)
         L = np.column_stack([Y, a, ones])
         Rt = np.vstack([-2.0 * Y.T, ones, a])
         cut = 1e-4 * float(a.max())
     # coincident points (r2 = 0) are left to the caller's checks
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for i0 in range(0, n, rows):
-            i1 = min(i0 + rows, n)
-            Xr, Xc = X[i0:i1], X[i1:]
-            # the pairs within the rows (condensed), then the rows against
-            # every later point, if any remain
-            blocks = [(pdist(Xr, "sqeuclidean"), None)]
-            if i1 < n:
-                blocks.append((L[i0:i1] @ Rt[:, i1:], Xc))
-            for r2, cols in blocks:
-                if r2.size == 0:
-                    continue
+        for t, (i0, i1) in enumerate(zip(edges, edges[1:])):
+            for j0, j1 in zip(edges[t:], edges[t + 1 :]):
+                rows, cols, diagonal = slice(i0, i1), slice(j0, j1), i0 == j0
+                if line:
+                    # x_i - x_j, both orders of each pair on the diagonal
+                    D = X[rows] - X[cols].T
+                    r2 = D * D
+                    if diagonal:
+                        np.fill_diagonal(r2, np.inf)
+                elif diagonal:
+                    r2 = pdist(X[rows], "sqeuclidean")  # condensed
+                    if r2.size == 0:
+                        continue
+                else:
+                    r2 = L[rows] @ Rt[:, cols]
                 low = float(r2.min())
-                if cols is not None and low < cut:
+                if not (line or diagonal) and low < cut:
                     # rows that reach under the cut, from coordinate differences
                     near = r2.min(axis=1) < cut
-                    r2[near] = cdist(Xr[near], cols, "sqeuclidean")
+                    r2[near] = cdist(X[rows][near], X[cols], "sqeuclidean")
                     low = float(r2.min())
                 r2min = min(r2min, low)
                 inv = np.divide(1.0, r2, out=r2)
                 w = inv ** (0.5 * s)
-                total += 2.0 * float(w.sum())
+                # a square tile sums faster as a matrix-vector product; a
+                # square diagonal tile holds both orders of each pair
+                wsum = w.sum() if w.ndim == 1 else ones[rows] @ w @ ones[cols]
+                total += (1.0 if line and diagonal else 2.0) * float(wsum)
                 if not gradient:
                     continue
-                # sum_j c_ij (x_i - x_j) = x_i sum_j c_ij - sum_j c_ij x_j,
-                # both sums from one product with [X | 1]
                 c = np.multiply(w, inv, out=inv)
-                if cols is None:
+                if line:
+                    cD = np.multiply(c, D, out=D)
+                    A[rows, 0] -= cD @ ones[cols]
+                    A[rows, 1] += c @ ones[cols]
+                    if not diagonal:  # the columns, by Newton's third law
+                        A[cols, 0] += ones[rows] @ cD
+                        A[cols, 1] += ones[rows] @ c
+                elif diagonal:
                     # the square form holds both orders of each pair
-                    S = squareform(c) @ X1[i0:i1]
+                    A[rows] += squareform(c) @ X1[rows]
                 else:
-                    S = c @ X1[i1:]
-                    # the columns, by Newton's third law
-                    T = c.T @ X1[i0:i1]
-                    G[i1:] -= 2.0 * s * (cols * T[:, -1:] - T[:, :-1])
-                    P[i1:] += T[:, -1]
-                G[i0:i1] -= 2.0 * s * (Xr * S[:, -1:] - S[:, :-1])
-                P[i0:i1] += S[:, -1]
-    if gradient:
-        P *= 2.0 * s * (s + 1.0)
-    return total, r2min, G, P
+                    A[rows] += c @ X1[cols]
+                    A[cols] += c.T @ X1[rows]
+        if not gradient:
+            return total, r2min, None, None
+        G = 2.0 * s * (A[:, :-1] if line else A[:, :-1] - X * A[:, -1:])
+    return total, r2min, G, 2.0 * s * (s + 1.0) * A[:, -1]
 
 
 def _objective(X: np.ndarray, cset: CompactSet, fld: ExternalField, s: float, gradient: bool = False):

@@ -163,6 +163,40 @@ def test_solve_bad_settings(tmp_path, capsys):
     assert "bad optimizer settings" in capsys.readouterr().err
 
 
+def _no_solve(monkeypatch):
+    def no_solve(*a, **kw):
+        raise AssertionError("the solve started before validation")
+
+    monkeypatch.setattr(cli, "solve_equilibrium", no_solve)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"settings": "fast"}, "bad optimizer settings: settings must be an object, got 'fast'"),
+        ({"settings": [["max_iters", 60]]}, "settings must be an object, got [['max_iters', 60]]"),
+        ({"s": [4]}, "s must be a number, got [4]"),
+        ({"s": "four"}, "s must be a number, got 'four'"),
+    ],
+)
+def test_solve_names_malformed_value(tmp_path, capsys, monkeypatch, overrides, message):
+    _no_solve(monkeypatch)
+    out = tmp_path / "run"
+    assert cli.main(["solve", _tiny_config(tmp_path, **overrides), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("label", [5, None, ["a"]])
+def test_solve_rejects_non_string_label(tmp_path, capsys, monkeypatch, label):
+    # report.json types label as a string
+    _no_solve(monkeypatch)
+    out = tmp_path / "run"
+    assert cli.main(["solve", _tiny_config(tmp_path, label=label), "--out", str(out)]) == 2
+    assert f"label must be a string, got {label!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "overrides, key",
     [
@@ -173,10 +207,7 @@ def test_solve_bad_settings(tmp_path, capsys):
     ],
 )
 def test_solve_rejects_fractional_count(tmp_path, capsys, monkeypatch, overrides, key):
-    def no_solve(*a, **kw):
-        raise AssertionError("the solve started before validation")
-
-    monkeypatch.setattr(cli, "solve_equilibrium", no_solve)
+    _no_solve(monkeypatch)
     cfg = _tiny_config(tmp_path, **overrides)
     assert cli.main(["solve", cfg, "--out", str(tmp_path / "run")]) == 2
     assert f"{key} must be a whole number" in capsys.readouterr().err
@@ -185,10 +216,7 @@ def test_solve_rejects_fractional_count(tmp_path, capsys, monkeypatch, overrides
 
 def test_solve_rejects_non_finite_s(tmp_path, capsys, monkeypatch):
     # an infinite s passes the s >= d check; the equilibrium solve would hang
-    def no_solve(*a, **kw):
-        raise AssertionError("the solve started before validation")
-
-    monkeypatch.setattr(cli, "solve_equilibrium", no_solve)
+    _no_solve(monkeypatch)
     cfg = _tiny_config(tmp_path, s=math.inf)
     assert cli.main(["solve", cfg, "--out", str(tmp_path / "run")]) == 2
     assert "s must be finite" in capsys.readouterr().err
@@ -210,10 +238,7 @@ def test_solve_rejects_non_finite_s(tmp_path, capsys, monkeypatch):
     ids=["solve-set", "solve-field", "solve-designed-rho", "solve-expression-term", "design-set", "design-rho"],
 )
 def test_non_object_descriptor_rejected(tmp_path, capsys, monkeypatch, command, overrides, message):
-    def no_solve(*a, **kw):
-        raise AssertionError("the solve started before validation")
-
-    monkeypatch.setattr(cli, "solve_equilibrium", no_solve)
+    _no_solve(monkeypatch)
     out = tmp_path / "out"
     if command == "solve":
         argv = ["solve", _tiny_config(tmp_path, **overrides)]

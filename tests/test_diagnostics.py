@@ -42,8 +42,8 @@ def test_separation_hand_value(interval01):
 
 @pytest.mark.parametrize("kind", ["interval02", "sphere", "torus24"])
 def test_separation_multiblock_brute_force(kind, request, rng):
-    # N = 1000 spans several row blocks of the pair kernel; the closest
-    # pair is placed across blocks, between the first and the last point
+    # N = 1000 points; the closest pair is placed between the first and
+    # the last point, as far apart in the input order as can be
     cset = request.getfixturevalue(kind)
     lo, hi = np.array(cset.param_bounds).T
     X = cset.chart(rng.uniform(lo, hi, size=(1000, len(lo))))

@@ -11,7 +11,7 @@ from rieszfield import optimizer
 from rieszfield.fields import ExternalField, catalog
 from rieszfield.geometry import make_interval, make_sphere
 from rieszfield.optimizer import (
-    _BLOCK_ENTRIES,
+    _TILE,
     _sample_initial,
     Configuration,
     MinimizeResult,
@@ -93,13 +93,18 @@ def test_gradient_is_tangent(sphere, rng):
     assert np.max(np.abs((G * X).sum(axis=1))) < 1e-10
 
 
-# N large enough that the pair kernel walks several row blocks, so the
-# off-diagonal blocks and their column updates run
+# N large enough that the pair kernel walks several runs of tiles, so the
+# off-diagonal tiles and their column sums run
 MULTI_N = 1000
 
 
+def _runs(n):
+    # the runs the pair kernel splits n points into
+    return -(-n // _TILE)
+
+
 def _multiblock_config(kind, request, rng):
-    assert MULTI_N >= 4 * (_BLOCK_ENTRIES // MULTI_N)  # at least four row blocks
+    assert _runs(MULTI_N) >= 4  # at least four runs, six off-diagonal tiles
     cset = request.getfixturevalue(kind)
     lo, hi = np.array(cset.param_bounds).T
     return Configuration(cset.chart(rng.uniform(lo, hi, size=(MULTI_N, len(lo)))), cset)
@@ -138,15 +143,17 @@ def _gradient_error(cfg, s):
     return float((np.linalg.norm(G - ref, axis=1) / np.linalg.norm(ref, axis=1)).max())
 
 
-# interval02 stays at s = 4: on a line, x_i sum_j c_ij - sum_j c_ij x_j
-# cancels, and other s (or seeds) reach the bound there
+# on a line, x_i sum_j c_ij - sum_j c_ij x_j cancels to 1e-9 relative on
+# these points, so the kernel sums c_ij (x_i - x_j) from the per-pair
+# differences there; seed 12345 read 1.55e-9 at s = 4 with the cancelling form
 @pytest.mark.parametrize(
-    "kind, s",
-    [pytest.param("interval02", 4.0, id="interval02")]
-    + [case for case in MULTIBLOCK_CASES if case.values[0] != "interval02"],
+    "kind, s, seed",
+    [pytest.param(*case.values, 1234, id=case.id) for case in MULTIBLOCK_CASES]
+    + [pytest.param("interval02", 4.0, 12345, id="interval02-seed12345")],
 )
-def test_gradient_multiblock_matches_dense(kind, s, request, rng):
-    assert _gradient_error(_multiblock_config(kind, request, rng), s) < 1e-9
+def test_gradient_multiblock_matches_dense(kind, s, seed, request):
+    cfg = _multiblock_config(kind, request, np.random.default_rng(seed))
+    assert _gradient_error(cfg, s) < 1e-9
 
 
 def _counted_cdist(monkeypatch):
@@ -161,8 +168,8 @@ def _counted_cdist(monkeypatch):
     return rows
 
 
-# n = 1141 = 10 * 114 + 1 leaves the last row block one point, with no
-# pair inside the block; its gradient is checked against the dense formula
+# n = 1141 splits into six runs of 190 and 191 points, so the tiles are
+# not all square; its gradient is checked against the dense formula
 @pytest.mark.parametrize(
     "n, shift",
     [pytest.param(2000, shift, id=f"{shift}") for shift in (0.0, 1e3)]
@@ -177,18 +184,22 @@ def test_multiblock_gram_path_needs_no_fallback(n, shift, monkeypatch):
     phi = np.pi * (1.0 + 5.0**0.5) * k
     rho = np.sqrt(1.0 - z * z)
     X = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z]) + shift
-    assert n > _BLOCK_ENTRIES // n  # several row blocks
+    assert _runs(n) > 1  # off-diagonal tiles
     rows = _counted_cdist(monkeypatch)
+    # one pdist call per diagonal tile, that is per run
+    runs, pdist_ = [], optimizer.pdist
+    monkeypatch.setattr(optimizer, "pdist", lambda XA, *a: runs.append(len(XA)) or pdist_(XA, *a))
     pair, _, G, _ = optimizer._pair_kernel(X, 4.0, gradient=(n == 1141))
     assert rows == []
+    assert len(runs) == _runs(n) and max(runs) - min(runs) <= 1  # split evenly
     assert pair == pytest.approx(2.0 * float((pdist(X) ** -4.0).sum()), rel=1e-12)
     if G is not None:
-        assert n % (_BLOCK_ENTRIES // n) == 1  # the last row block holds one point
+        assert sorted(runs) == [190] * 5 + [191]
         ref = _dense_pair_gradient(X, 4.0)
         assert float((np.linalg.norm(G - ref, axis=1) / np.linalg.norm(ref, axis=1)).max()) < 1e-9
 
 
-# N = 200 is one row block, N = 1141 eleven, the last of one point
+# N = 200 is one tile, N = 1141 six runs of 190 and 191 points
 @pytest.mark.parametrize("kind", ["sphere", "interval02"])
 @pytest.mark.parametrize("n", [200, 1141])
 @pytest.mark.parametrize("s", [2.0, 4.0])
@@ -196,15 +207,36 @@ def test_stiffness_matches_dense(kind, n, s, request, rng):
     cset = request.getfixturevalue(kind)
     lo, hi = np.array(cset.param_bounds).T
     X = cset.chart(rng.uniform(lo, hi, size=(n, len(lo))))
-    assert (n > _BLOCK_ENTRIES // n) == (n == 1141)
+    assert (_runs(n) > 1) == (n == 1141)
     P = optimizer._pair_kernel(X, s, gradient=True)[3]
     r2 = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
     np.fill_diagonal(r2, np.inf)
     ref = 2.0 * s * (s + 1.0) * (r2 ** (-(s + 2.0) / 2.0)).sum(axis=1)
     # squared distances from coordinate differences are exact to rounding;
-    # the Gram product's (sphere rows past one block with no pair under
-    # the cut) carry about 1e-11 relative, and P their power -(s+2)/2
+    # the Gram product's (sphere rows of off-diagonal tiles with no pair
+    # under the cut) carry about 1e-11 relative, and P their power -(s+2)/2
     gram = kind == "sphere" and n == 1141
+    assert float(np.max(np.abs(P - ref) / ref)) < (5e-11 if gram else 1e-12)
+
+
+# the largest one-tile pass, the smallest two-tile pass, and three runs
+# of exactly _TILE points
+@pytest.mark.parametrize("kind", ["sphere", "torus24", "interval02"])
+@pytest.mark.parametrize("n", [_TILE, _TILE + 1, 3 * _TILE])
+@pytest.mark.parametrize("s", [2.0, 4.0])
+def test_tile_boundaries_match_dense(kind, n, s, request, rng):
+    cset = request.getfixturevalue(kind)
+    lo, hi = np.array(cset.param_bounds).T
+    X = cset.chart(rng.uniform(lo, hi, size=(n, len(lo))))
+    pair, _, G, P = optimizer._pair_kernel(X, s, gradient=True)
+    assert pair == pytest.approx(2.0 * float((pdist(X) ** -s).sum()), rel=1e-12)
+    ref = _dense_pair_gradient(X, s)
+    assert float((np.linalg.norm(G - ref, axis=1) / np.linalg.norm(ref, axis=1)).max()) < 1e-9
+    r2 = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+    np.fill_diagonal(r2, np.inf)
+    ref = 2.0 * s * (s + 1.0) * (r2 ** (-(s + 2.0) / 2.0)).sum(axis=1)
+    # one tile, or a line, is exact to rounding; off-diagonal Gram tiles are not
+    gram = n > _TILE and kind != "interval02"
     assert float(np.max(np.abs(P - ref) / ref)) < (5e-11 if gram else 1e-12)
 
 
@@ -627,8 +659,8 @@ def _pinned_count(points, cset):
 @pytest.mark.parametrize(
     "kind, field, s, N, settings, pinned",
     [
-        # N = 700: blocks of _BLOCK_ENTRIES // 700 = 187 rows, so the pair
-        # kernel walks four row blocks
+        # N = 700: four runs of 175 points, so the pair kernel walks ten
+        # tiles, on a line from per-pair differences
         ("interval02", "e", 4.0, 700, OptimizerSettings(restarts=1, max_iters=25), False),
         ("interval01", None, 2.0, 12, OptimizerSettings(restarts=2, max_iters=300), True),
         ("sphere", "a", 2.0, 60, OptimizerSettings(restarts=2, max_iters=40, rng_seed=5), False),
