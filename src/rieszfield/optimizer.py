@@ -269,12 +269,17 @@ def _tangent_gradient(cset, fld, s, X, G):
     return cset.tangent_project(X, G)
 
 
+# what energy, and the diagnostics that divide by the separation, raise
+# on exactly coincident points
+_COINCIDENT = "coincident points give infinite energy"
+
+
 def energy(config: Configuration, fld: ExternalField, s: float) -> float:
     """E^q of the configuration; +inf is a representable value (points on
     field poles or under the collision guard), exact coincidence raises."""
     E, r2min, _, _ = _objective(config.points, config.cset, fld, s)
     if r2min == 0.0:
-        raise ValueError("coincident points give infinite energy")
+        raise ValueError(_COINCIDENT)
     return E
 
 

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from rieszfield import diagnostics
 from rieszfield.diagnostics import (
     DiagnosticsReport,
+    _max_nearest_distance,
     build_report,
     containment_check,
     covering_radius,
@@ -73,6 +75,65 @@ def test_covering_radius_sublevel_filter(interval01):
     assert est == pytest.approx(0.2, abs=1e-12)
     with pytest.raises(ValueError, match="sublevel"):
         sublevel_components(interval01, mesh, ramp, -1.0)
+
+
+def _full_query(X, P):
+    # the reference: one nearest-neighbour query per mesh point
+    return cKDTree(X).query(P)[0].max()
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("order", ["sorted", "shuffled"])
+def test_max_nearest_distance_is_exact(p, order, rng):
+    for _ in range(20):
+        X = rng.normal(size=(int(rng.integers(1, 80)), p))
+        P = rng.uniform(-3.0, 3.0, size=(int(rng.integers(4, 2000)), p))
+        if order == "sorted":
+            P = P[np.lexsort(P.T[::-1])]
+        assert _max_nearest_distance(X, P) == _full_query(X, P)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 6, 7, 9, 1001, 1002, 1003])
+def test_max_nearest_distance_short_last_run(m, rng):
+    # the points of a short last run, or of a mesh shorter than one run,
+    # are queried in full; the farthest point is placed last, then first
+    X = rng.normal(size=(30, 3))
+    P = np.linspace(-1.0, 1.0, 3 * m).reshape(m, 3)
+    P[-1] = [9.0, 9.0, 9.0]
+    assert _max_nearest_distance(X, P) == _full_query(X, P)
+    assert _max_nearest_distance(X, P[::-1].copy()) == _full_query(X, P)
+
+
+def test_max_nearest_distance_duplicates_and_self(rng):
+    X = rng.normal(size=(50, 2))
+    P = np.repeat(rng.normal(size=(101, 2)), 3, axis=0)
+    assert _max_nearest_distance(X, P) == _full_query(X, P)
+    assert _max_nearest_distance(X, np.repeat(X, 4, axis=0)) == 0.0
+    assert _max_nearest_distance(X, X) == 0.0
+
+
+def test_covering_radius_queries_few_mesh_points(sphere, rng, monkeypatch):
+    # ring by ring, a run's bound rules it out almost everywhere on a
+    # quasi-uniform configuration: about one point in four is queried
+    queried = []
+
+    class Recording(cKDTree):
+        def query(self, x, *args, **kwargs):
+            queried.append(len(x))
+            return super().query(x, *args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "cKDTree", Recording)
+    cfg, mesh = _fibonacci(sphere, 400, rng), sphere.mesh()
+    assert covering_radius(cfg, mesh) == _full_query(cfg.points, mesh[0])
+    assert sum(queried) < 0.3 * len(mesh[0])
+
+
+def test_covering_radius_mesh_shapes(interval01):
+    cfg = _cfg([[0.0], [1.0]], interval01)
+    assert covering_radius(cfg, ([[0.25], [0.5], [0.875]], 0.01)) == 0.5
+    for empty in (np.empty((0, 1)), []):
+        with pytest.raises(ValueError, match="empty mesh"):
+            covering_radius(cfg, (empty, 0.01))
 
 
 def test_containment_check(interval01):
@@ -244,6 +305,24 @@ def test_region_mesh_ratios_match_components(sphere, measure_a, n, seed):
     fld, mesh, sep = catalog("a"), (covering_mesh(sphere, 0.04), 0.04), separation(cfg)
     ratios = region_mesh_ratios(cfg, fld, measure_a.l1, sep, mesh[0], fld.evaluate(mesh[0]))
     assert ratios == _region_ratios_by_components(cfg, fld, measure_a.l1, sep, mesh)
+
+
+def _unevaluated(X):
+    raise AssertionError("the field is evaluated before the separation is checked")
+
+
+def test_coincident_points_refused_before_mesh_work(sphere, monkeypatch):
+    interval = make_interval(0.0, 1.0)
+    monkeypatch.setattr(interval, "mesh", lambda: pytest.fail("mesh built for coincident points"))
+    cfg = _cfg([[0.2], [0.2], [0.7]], interval)
+    measure = solve_equilibrium(interval, ZERO, 2.0)
+    with pytest.raises(ValueError, match="coincident points give infinite energy"):
+        build_report(cfg, ZERO, 2.0, measure)
+    pts = covering_mesh(sphere, 0.04)
+    X = _fibonacci(sphere, 50, np.random.default_rng(0)).points
+    X[1] = X[0]
+    with pytest.raises(ValueError, match="coincident points give infinite energy"):
+        region_mesh_ratios(_cfg(X, sphere), ExternalField(_unevaluated), 0.5, 0.0, pts, np.zeros(len(pts)))
 
 
 def test_build_report_consistency(interval02, measure_e):
