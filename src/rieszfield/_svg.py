@@ -1,9 +1,9 @@
-"""Minimal self-contained SVG scatter writer.
+"""Minimal self-contained SVG scatter plot.
 
-Plots a projected point configuration over its support-boundary
-overlay (drawn as small dots tracing the contour).  Everything else is
-left to the exported CSV tables; this is a quick visual sanity check,
-not a plotting library.
+Renders a projected point configuration over its support-boundary
+overlay (drawn as small dots tracing the contour) as SVG text, which
+the CLI writes to scatter.svg.  Everything else is left to the exported
+CSV tables; this is a quick visual sanity check, not a plotting library.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ def _bbox(arrays):
     return lo, hi
 
 
-def scatter_svg(path, points: np.ndarray, contour: np.ndarray, title: str) -> None:
-    """Write a 2-D scatter with contour dots to an SVG file."""
+def scatter_svg(points: np.ndarray, contour: np.ndarray, title: str) -> str:
+    """The SVG text of a 2-D scatter with contour dots."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     contour = np.atleast_2d(np.asarray(contour, dtype=float))
     lo, hi = _bbox([points, contour])
@@ -58,8 +58,7 @@ def scatter_svg(path, points: np.ndarray, contour: np.ndarray, title: str) -> No
             f'fill-opacity="0.85"/>'
         )
     parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts))
+    return "\n".join(parts)
 
 
 def project_points(X: np.ndarray) -> np.ndarray:

@@ -2,13 +2,15 @@
 
 Every run writes a self-describing directory (points.csv, density.csv,
 trace.csv, report.json, scatter.svg); report.json follows the schema
-shipped under docs/.  Exit codes: 2 for configuration or validation
+shipped under docs/.  This is the only module that writes files: one
+CSV writer and one JSON writer serve every artifact.  Exit codes: 2 for configuration or validation
 problems, 3 for solver failures, 4 for I/O failures.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 import time
@@ -23,15 +25,7 @@ from .constants import m_constant, riesz_constant
 from .equilibrium import EquilibriumError, integrate_adaptive, solve_equilibrium
 from .fields import _UNIT_MASS_TOL, density_from_descriptor, design_field, field_from_descriptor
 from .geometry import set_from_descriptor
-from .optimizer import (
-    OptimizerFailure,
-    OptimizerSettings,
-    _whole,
-    minimize,
-    tau,
-    write_points_csv,
-    write_trace_csv,
-)
+from .optimizer import OptimizerFailure, OptimizerSettings, _whole, minimize, tau
 
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
@@ -113,6 +107,24 @@ def _solve_measure(cset, fld, s, const):
     return measure
 
 
+def _write_csv(path, header, rows):
+    """One CSV artifact: RFC-4180 with CRLF line ends under a header row.
+    An int cell is written as it is and any other number as %.17g, which
+    round-trips a double."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([str(c) if isinstance(c, int) else f"{c:.17g}" for c in row])
+
+
+def _write_json(path, obj):
+    """One JSON artifact: indented two spaces, ending in a newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+
 def _write_run(out_dir: Path, result, measure, report_dict, table, eq):
     """Write the five run artifacts; returns the file manifest.
 
@@ -121,19 +133,27 @@ def _write_run(out_dir: Path, result, measure, report_dict, table, eq):
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     X = result.config.points
-    write_points_csv(X, out_dir / "points.csv")
-    write_trace_csv(result.trace, out_dir / "trace.csv")
-    diagnostics.write_density_csv(table, out_dir / "density.csv", eq)
-    scatter_svg(
-        out_dir / "scatter.svg",
-        project_points(X),
-        support_contour(measure),
-        title=measure.field.label or "configuration",
+    axes = [f"x{i + 1}" for i in range(X.shape[1])]
+    _write_csv(out_dir / "points.csv", axes, X)
+    _write_csv(
+        out_dir / "trace.csv",
+        ["iter", "energy", "grad_norm", "step"],
+        ((int(it), energy, grad_norm, step) for it, energy, grad_norm, step in result.trace),
     )
+    _write_csv(
+        out_dir / "density.csv",
+        [*axes, "count", "empirical_density", "equilibrium_density"],
+        (
+            (*x, int(count), rho, rho_eq)
+            for x, count, rho, rho_eq in zip(
+                table["centers"], table["count"], table["density"], eq, strict=True
+            )
+        ),
+    )
+    svg = scatter_svg(project_points(X), support_contour(measure), title=measure.field.label or "configuration")
+    (out_dir / "scatter.svg").write_text(svg)
     report_dict["files"] = list(_REPORT_FILES)
-    with open(out_dir / "report.json", "w") as fh:
-        json.dump(report_dict, fh, indent=2)
-        fh.write("\n")
+    _write_json(out_dir / "report.json", report_dict)
     return report_dict["files"]
 
 
@@ -306,9 +326,7 @@ def cmd_design(args) -> int:
             "support_fraction": measure.support_fraction,
         },
     }
-    with open(args.out, "w") as fh:
-        json.dump(out, fh, indent=2)
-        fh.write("\n")
+    _write_json(args.out, out)
     print(f"designed field: q = -{design.m_constant:.9g} * rho(x)^(s/d)")
     print(f"round trip: |L1| = {abs(measure.l1):.3g}, max rel density error = {rel_err:.3g}")
     print(f"descriptor: {args.out}")

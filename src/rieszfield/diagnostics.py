@@ -10,7 +10,6 @@ discrepancy), and scaled energy vs the first-order limit.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, fields
 
@@ -33,7 +32,6 @@ __all__ = [
     "sublevel_components",
     "region_mesh_ratios",
     "build_report",
-    "write_density_csv",
 ]
 
 
@@ -194,18 +192,6 @@ def density_table_average(measure, table: dict) -> np.ndarray:
     for like-for-like histogram comparisons."""
     k, m, p = table["samples"].shape
     return measure.density(table["samples"].reshape(-1, p)).reshape(k, m).mean(axis=1)
-
-
-def write_density_csv(table: dict, path, equilibrium: np.ndarray) -> None:
-    """The empirical table beside ``equilibrium``, the equilibrium
-    density averaged over its bins (density_table_average)."""
-    centers = np.atleast_2d(table["centers"])
-    header = [f"x{i + 1}" for i in range(centers.shape[1])]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header + ["count", "empirical_density", "equilibrium_density"])
-        for x, count, rho, eq in zip(centers, table["count"], table["density"], equilibrium, strict=True):
-            w.writerow([f"{c:.17g}" for c in x] + [str(int(count)), f"{rho:.17g}", f"{eq:.17g}"])
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ the collision guard stay exact.
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 from dataclasses import dataclass
@@ -45,8 +44,6 @@ __all__ = [
     "energy",
     "energy_gradient",
     "minimize",
-    "write_trace_csv",
-    "write_points_csv",
 ]
 
 
@@ -533,19 +530,3 @@ def minimize(
         raise OptimizerFailure("all restarts failed to produce finite energy")
     return best
 
-
-def write_trace_csv(trace: np.ndarray, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["iter", "energy", "grad_norm", "step"])
-        for row in trace:
-            w.writerow([f"{int(row[0])}", f"{row[1]:.17g}", f"{row[2]:.17g}", f"{row[3]:.17g}"])
-
-
-def write_points_csv(points: np.ndarray, path) -> None:
-    points = np.atleast_2d(points)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([f"x{i + 1}" for i in range(points.shape[1])])
-        for row in points:
-            w.writerow([f"{c:.17g}" for c in row])

@@ -35,7 +35,6 @@ from rieszfield.optimizer import (
     energy,
     minimize,
     tau,
-    write_points_csv,
 )
 
 ZERO = ExternalField(lambda X: np.zeros(len(np.atleast_2d(X))), label="zero")
@@ -290,6 +289,6 @@ def test_criterion_7_structural_properties(interval01, interval02, sphere, torus
         import tempfile, pathlib
         with tempfile.TemporaryDirectory() as td:
             fa, fb = pathlib.Path(td) / "a.csv", pathlib.Path(td) / "b.csv"
-            write_points_csv(pa.config.points, fa)
-            write_points_csv(pb.config.points, fb)
+            cli._write_csv(fa, ["x1"], pa.config.points)
+            cli._write_csv(fb, ["x1"], pb.config.points)
             assert fa.read_bytes() == fb.read_bytes()

@@ -1,13 +1,14 @@
 import csv
 import json
 import math
+import types
 import warnings
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from rieszfield import diagnostics
+from rieszfield import cli, diagnostics
 from rieszfield.diagnostics import (
     DiagnosticsReport,
     _max_nearest_distance,
@@ -21,7 +22,6 @@ from rieszfield.diagnostics import (
     separation,
     sublevel_components,
     weak_star_error,
-    write_density_csv,
 )
 from rieszfield.equilibrium import solve_equilibrium
 from rieszfield.fields import ExternalField, catalog
@@ -204,11 +204,13 @@ def test_density_table_average_sphere(sphere, rng):
 
 
 def test_write_density_csv(tmp_path, interval01):
-    pts = np.linspace(0.0, 0.999, 16)[:, None]
-    table = empirical_density(_cfg(pts, interval01))
+    # the table as the CLI exports it, from a run that made no step
+    config = _cfg(np.linspace(0.0, 0.999, 16)[:, None], interval01)
+    table = empirical_density(config)
     eq = np.full(len(table["count"]), 1.0)
+    run = types.SimpleNamespace(config=config, trace=np.zeros((0, 4)))
+    cli._write_run(tmp_path, run, solve_equilibrium(interval01, ZERO, 2.0), {}, table, eq)
     path = tmp_path / "density.csv"
-    write_density_csv(table, path, equilibrium=eq)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["x1", "count", "empirical_density", "equilibrium_density"]

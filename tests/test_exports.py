@@ -1,11 +1,13 @@
 """Every exported name resolves: the package's lazy exports and the
 ``__all__`` of each submodule.  Importing the package loads none of them."""
 
+import ast
 import importlib
 import os
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import rieszfield
 
@@ -49,3 +51,22 @@ def test_package_import_loads_no_submodule():
         capture_output=True, text=True, check=True,
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_only_the_cli_writes_files():
+    # one home for the file formats: no other module opens a file or
+    # imports the csv or json module
+    offenders = []
+    for path in sorted(Path(rieszfield.__file__).parent.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+                if name in ("open", "write_text", "write_bytes"):
+                    offenders.append(f"{path.name}:{node.lineno} calls {name}")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
+                offenders += [f"{path.name}:{node.lineno} imports {m}" for m in modules if m in ("csv", "json")]
+    assert offenders == []

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
-from rieszfield import optimizer
+from rieszfield import cli, diagnostics, optimizer
+from rieszfield.equilibrium import solve_equilibrium
 from rieszfield.fields import ExternalField, catalog
 from rieszfield.geometry import make_interval, make_sphere
 from rieszfield.optimizer import (
@@ -21,8 +22,6 @@ from rieszfield.optimizer import (
     energy_gradient,
     minimize,
     tau,
-    write_points_csv,
-    write_trace_csv,
 )
 
 ZERO = ExternalField(lambda X: np.zeros(len(np.atleast_2d(X))), label="zero")
@@ -526,11 +525,13 @@ def test_more_points_do_not_lower_energy(interval01):
 
 
 def test_csv_writers(tmp_path, interval01):
+    # the run's points and trace as the CLI exports them
     res = minimize(interval01, ZERO, 2.0, 5, OptimizerSettings(restarts=1, max_iters=50))
+    measure = solve_equilibrium(interval01, ZERO, 2.0)
+    table = diagnostics.empirical_density(res.config)
+    cli._write_run(tmp_path, res, measure, {}, table, diagnostics.density_table_average(measure, table))
     pp = tmp_path / "points.csv"
     tp = tmp_path / "trace.csv"
-    write_points_csv(res.config.points, pp)
-    write_trace_csv(res.trace, tp)
     with open(pp, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["x1"]
