@@ -25,7 +25,7 @@ from .constants import m_constant, riesz_constant
 from .equilibrium import EquilibriumError, integrate_adaptive, solve_equilibrium
 from .fields import _UNIT_MASS_TOL, density_from_descriptor, design_field, field_from_descriptor
 from .geometry import set_from_descriptor
-from .optimizer import OptimizerFailure, OptimizerSettings, _whole, minimize, tau
+from .optimizer import OptimizerFailure, OptimizerSettings, _whole, minimize
 
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
@@ -184,7 +184,7 @@ def _run(cset, fld, s, n, const, settings, out_dir, label, entry=None):
         "support_fraction": measure.support_fraction,
         "solver_info": measure.solver_info,
         "energy": result.energy,
-        "energy_over_tau": result.energy / tau(s, cset.hausdorff_dim, n),
+        "energy_over_tau": report.energy_ratio,
         "termination": result.termination,
         "grad_norm": result.grad_norm,
         "iterations": len(result.trace),

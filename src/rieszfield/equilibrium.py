@@ -57,7 +57,8 @@ _CELLS_PER_AXIS = {1: 32, 2: 24}
 
 
 class EquilibriumError(RuntimeError):
-    """Raised when the mass equation cannot be solved on the given inputs."""
+    """Raised when the mass equation cannot be solved on the given inputs,
+    or an adaptive integral stops before meeting its tolerance."""
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +405,9 @@ def solve_equilibrium(
 
 def integrate_adaptive(cset: CompactSet, fn: Callable[[np.ndarray], np.ndarray], breaks=None) -> float:
     """Adaptive integral of fn over the set, refined by split-compare
-    until the error estimate is below 1e-12 (``_INTEGRAL_TOL``).
+    until the error estimate is below 1e-12 (``_INTEGRAL_TOL``); raises
+    EquilibriumError when refinement stops on its node budget or round
+    limit first.
 
     Shares the cells and the refinement loop of the equilibrium solver.  Integrands
     whose support ends between quadrature nodes need their edges passed
@@ -418,5 +421,10 @@ def integrate_adaptive(cset: CompactSet, fn: Callable[[np.ndarray], np.ndarray],
         return finite(cells.q), finite(cells.cq), False, True
 
     cells = _Cells(cset, fn, breaks=breaks)
-    _refine(cells, integrand, _INTEGRAL_TOL, _NODE_BUDGET)
+    info = _refine(cells, integrand, _INTEGRAL_TOL, _NODE_BUDGET)
+    if info["stop_reason"] != "tol":
+        raise EquilibriumError(
+            f"adaptive integral stopped on {info['stop_reason']} before meeting its tolerance: "
+            f"error estimate {info['error_estimate']:.3g} on {info['nodes']} nodes"
+        )
     return float(np.dot(cells.cw.ravel(), finite(cells.cq).ravel()))

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -73,13 +74,16 @@ def tau(s: float, d: int, N: int) -> float:
 
 @dataclass
 class Configuration:
-    """N ambient points on a set."""
+    """N ambient points on a set, as an (N, ambient_dim) array."""
 
     points: np.ndarray
     cset: CompactSet
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
+        p = self.cset.ambient_dim
+        if self.points.ndim != 2 or self.points.shape[1] != p:
+            raise ValueError(f"points must have shape (n, {p}) on this set, got {self.points.shape}")
 
     @property
     def n(self) -> int:
@@ -88,8 +92,10 @@ class Configuration:
 
 @dataclass
 class OptimizerSettings:
+    # the descent's fixed gradient tolerance; minimize scales it by
+    # N^(1+s/d) / diameter^(s+1)
+    grad_tol: ClassVar[float] = 1e-6
     max_iters: int = 5000
-    grad_tol: float = 1e-6
     restarts: int = 3
     rng_seed: int = 0
     init: str = "weighted"  # weighted | density | stratified
@@ -97,8 +103,8 @@ class OptimizerSettings:
     def __post_init__(self):
         for key in ("max_iters", "restarts", "rng_seed"):
             setattr(self, key, _whole(getattr(self, key), key))
-        if self.max_iters <= 0 or self.restarts <= 0 or not 0 < self.grad_tol < math.inf:
-            raise ValueError("max_iters and restarts must be positive, grad_tol positive and finite")
+        if self.max_iters <= 0 or self.restarts <= 0:
+            raise ValueError("max_iters and restarts must be positive")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
         if self.init not in ("weighted", "density", "stratified"):

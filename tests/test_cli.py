@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import rieszfield
-from rieszfield import cli
+from rieszfield import cli, equilibrium
 from rieszfield.equilibrium import EquilibriumError, solve_equilibrium
 from rieszfield.fields import field_from_descriptor
 from rieszfield.geometry import set_from_descriptor
@@ -85,6 +85,7 @@ def test_solve_end_to_end(tmp_path, capsys, validate_report_schema):
     assert report["comparison"] is None
     assert sorted(report["files"]) == sorted(RUN_FILES)
     assert report["solver_info"]["stop_reason"] == "tol"
+    assert report["energy_over_tau"] == report["diagnostics"]["energy_ratio"]
     timings = report["timings"]
     assert set(timings) == {"equilibrium_s", "minimize_s", "diagnostics_s"}
     assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
@@ -93,6 +94,20 @@ def test_solve_end_to_end(tmp_path, capsys, validate_report_schema):
     assert cset.kind == "interval"
     stdout = capsys.readouterr().out
     assert "L1 = " in stdout and "report:" in stdout
+
+
+def test_solve_config_out_dir_and_c_override(tmp_path, capsys, monkeypatch):
+    # out_dir stands in for a missing --out; c_override replaces C(s, d)
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "from-config"
+    assert cli.main(["solve", _tiny_config(tmp_path, out_dir=str(out), c_override=3.5)]) == 0
+    constants = json.loads((out / "report.json").read_text())["constants"]
+    assert (constants["c_sd"], constants["provenance"]) == (3.5, "user_override")
+    assert not (tmp_path / "riesz-run").exists()
+    _no_solve(monkeypatch)
+    for bad in (0.0, -1.0):
+        assert cli.main(["solve", _tiny_config(tmp_path, c_override=bad)]) == 2
+        assert "constant must be finite and positive" in capsys.readouterr().err
 
 
 def test_solve_byte_determinism(tmp_path):
@@ -177,6 +192,8 @@ def _no_solve(monkeypatch):
         ({"settings": [["max_iters", 60]]}, "settings must be an object, got [['max_iters', 60]]"),
         ({"s": [4]}, "s must be a number, got [4]"),
         ({"s": "four"}, "s must be a number, got 'four'"),
+        # the descent's gradient tolerance is fixed
+        ({"settings": {"grad_tol": 1e-3}}, "unexpected keyword argument 'grad_tol'"),
     ],
 )
 def test_solve_names_malformed_value(tmp_path, capsys, monkeypatch, overrides, message):
@@ -283,6 +300,20 @@ def test_design_warns_on_budget_stop(tmp_path, capsys, monkeypatch):
     code = cli.main(["design", set_json, rho_json, "--s", "4", "--out", str(tmp_path / "design.json")])
     assert code == 0
     assert "warning: equilibrium solve stopped on budget" in capsys.readouterr().err
+
+
+def test_design_fails_on_unresolved_integral(tmp_path, capsys, monkeypatch):
+    # the target's mass from an integral that stopped on its node budget
+    # is not used as if it were exact
+    monkeypatch.setattr(equilibrium, "_NODE_BUDGET", 100)
+    set_json = _write_json(tmp_path / "set.json", {"kind": "interval", "a": 0.0, "b": 2.0})
+    # sqrt|x - 0.7|: a kink between quadrature nodes
+    rho = {"kind": "expression", "terms": [{"type": "radial", "center": [0.7], "exponent": 0.5}]}
+    rho_json = _write_json(tmp_path / "rho.json", rho)
+    out = tmp_path / "design.json"
+    assert cli.main(["design", set_json, rho_json, "--s", "4", "--out", str(out)]) == 3
+    assert "solver failure: adaptive integral stopped on budget" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solve_small_n_bins_density(tmp_path, validate_report_schema):

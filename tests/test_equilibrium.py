@@ -233,6 +233,14 @@ def test_integrate_adaptive_with_break(interval02):
     assert got == pytest.approx((0.7**2 + 1.3**2) / 2.0, rel=1e-12)
 
 
+def test_integrate_adaptive_raises_on_budget_stop(interval02, monkeypatch):
+    # a kink between nodes: the budget runs out before the estimate meets
+    # 1e-12, and the unconverged integral is not returned as if exact
+    monkeypatch.setattr(equilibrium, "_NODE_BUDGET", 300)
+    with pytest.raises(EquilibriumError, match=r"stopped on budget .* error estimate \S+ on \d+ nodes"):
+        integrate_adaptive(interval02, lambda X: np.sqrt(np.abs(np.atleast_2d(X)[:, 0] - 0.7)))
+
+
 def test_integrate_adaptive_torus(torus24):
     # R = 3, c = 1: the area element c (R + c cos v) varies over the chart
     big_r, tube_c = 3.0, 1.0

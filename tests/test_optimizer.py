@@ -472,6 +472,15 @@ def test_density_init_needs_measure(interval02):
         minimize(interval02, ZERO, 4.0, 10, OptimizerSettings(init="density", restarts=1))
 
 
+def test_configuration_needs_ambient_columns(interval02, sphere):
+    # ten coordinates of one point in R^10, not ten points on the line
+    with pytest.raises(ValueError, match=r"shape \(n, 1\) on this set, got \(1, 10\)"):
+        Configuration(np.linspace(0.1, 1.9, 10), interval02)
+    with pytest.raises(ValueError, match=r"shape \(n, 3\) on this set, got \(5, 2\)"):
+        Configuration(np.zeros((5, 2)), sphere)
+    assert Configuration([0.5], interval02).points.shape == (1, 1)
+
+
 def test_minimize_needs_two_points(interval01):
     with pytest.raises(ValueError):
         minimize(interval01, ZERO, 2.0, 1)
@@ -482,10 +491,6 @@ def test_settings_validation():
         OptimizerSettings(max_iters=0)
     with pytest.raises(ValueError):
         OptimizerSettings(init="sobol")
-    # an infinite tolerance converges at once, a nan one never
-    for tol in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="grad_tol"):
-            OptimizerSettings(grad_tol=tol)
     # counts must be whole numbers; the error names the key
     for key, value in (("max_iters", 10.5), ("restarts", 1.5), ("rng_seed", 0.25),
                        ("max_iters", "10"), ("restarts", True)):
