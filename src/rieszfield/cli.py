@@ -3,8 +3,9 @@
 Every run writes a self-describing directory (points.csv, density.csv,
 trace.csv, report.json, scatter.svg); report.json follows the schema
 shipped under docs/.  This is the only module that writes files: one
-CSV writer and one JSON writer serve every artifact.  Exit codes: 2 for configuration or validation
-problems, 3 for solver failures, 4 for I/O failures.
+CSV writer and one JSON writer serve every artifact.  Exit codes: 2 for
+configuration or validation problems, 3 for solver failures, 4 for I/O
+failures.
 """
 
 from __future__ import annotations
@@ -150,8 +151,8 @@ def _write_run(out_dir: Path, result, measure, report_dict, table, eq):
             )
         ),
     )
-    svg = scatter_svg(project_points(X), support_contour(measure), title=measure.field.label or "configuration")
-    (out_dir / "scatter.svg").write_text(svg)
+    title = measure.field.label or "configuration"
+    (out_dir / "scatter.svg").write_text(scatter_svg(project_points(X), support_contour(measure), title))
     report_dict["files"] = list(_REPORT_FILES)
     _write_json(out_dir / "report.json", report_dict)
     return report_dict["files"]

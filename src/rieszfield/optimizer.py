@@ -535,4 +535,3 @@ def minimize(
     if best is None:
         raise OptimizerFailure("all restarts failed to produce finite energy")
     return best
-
