@@ -272,7 +272,7 @@ def _compare(entry, measure, config, report, table, eq):
     }
     if "mesh_ratio_mid" in pub:
         ratios = diagnostics.region_mesh_ratios(
-            config, measure.field, measure.l1, report.separation, measure.set.mesh()[0], report.mesh_values
+            config, measure.field, measure.l1, report.separation, measure.set.mesh()[0]
         )
         computed |= {f"mesh_ratio_{name}": ratio for name, ratio in ratios.items()}
     checks = {name: _check(window, computed[name]) for name, window in pub.items()}

@@ -11,7 +11,7 @@ discrepancy), and scaled energy vs the first-order limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import sparse
@@ -237,7 +237,7 @@ def sublevel_components(cset: CompactSet, mesh, fld, threshold: float) -> tuple[
     return kept, labels
 
 
-def region_mesh_ratios(config: Configuration, fld, l1: float, sep: float, mesh_points, mesh_values) -> dict:
+def region_mesh_ratios(config: Configuration, fld, l1: float, sep: float, mesh_points) -> dict:
     """Covering radius of each region of the occupied sublevel set over
     the separation ``sep``, split into "mid" (the equatorial band) and
     "polar" (the two bands toward the poles); built for catalog field a
@@ -250,14 +250,13 @@ def region_mesh_ratios(config: Configuration, fld, l1: float, sep: float, mesh_p
     its maximum 1 at |z| = 1/2 and l1 < 1, so no mesh point of the
     sublevel lies at |z| = 1/2: its mesh points split into the regions by
     |z| > 1/2, and each configuration point belongs to the region of its
-    nearest one.  ``mesh_values`` are the values of ``fld`` at
-    ``mesh_points``, as a report's ``mesh_values`` on the set's default
-    mesh; a region without points or mesh points is nan.
+    nearest one.  ``fld`` is evaluated on ``mesh_points``, such as the
+    set's default mesh; a region without points or mesh points is nan.
     """
     _require_separated(sep)
     X = config.points
     level = min(float(np.asarray(fld.evaluate(X), dtype=float).max()), l1)
-    kept = _filter_mesh(mesh_points, mesh_values, level)
+    kept = _filter_mesh(mesh_points, np.asarray(fld.evaluate(mesh_points), dtype=float), level)
     polar = np.abs(kept[:, 2]) > 0.5
     own = polar[cKDTree(kept).query(X)[1]]
     out = {}
@@ -277,6 +276,9 @@ def region_mesh_ratios(config: Configuration, fld, l1: float, sep: float, mesh_p
 
 @dataclass
 class DiagnosticsReport:
+    """The quality numbers of one configuration, from ``build_report``;
+    ``to_dict`` gives them, in this order, for report.json."""
+
     separation: float
     covering_radius: float
     covering_fill: float
@@ -285,12 +287,9 @@ class DiagnosticsReport:
     s_predicted: float
     weak_star_errors: list  # [label, error] pairs
     containment_margin: float
-    # q on the set's default mesh, for callers' further mesh diagnostics;
-    # not part of the report's numbers
-    mesh_values: np.ndarray = field(repr=False)
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "mesh_values"}
+        return asdict(self)
 
 
 def build_report(
@@ -303,8 +302,7 @@ def build_report(
 
     Separation, covering radius and mesh ratio on the set's default
     mesh (CompactSet.mesh()), E/tau, S(q, A), the weak* errors of the
-    coordinates and their squares, the containment margin, and the
-    field's values on that mesh (``mesh_values``).  The
+    coordinates and their squares, and the containment margin.  The
     covering radius is taken over the mesh points of the sublevel set
     {q <= L1 - h}, h = 5% of L1 minus the smallest finite q on the mesh
     (minimizers only fill that region asymptotically); when h <= 0 (no
@@ -328,5 +326,4 @@ def build_report(
         s_predicted=measure.s_value,
         weak_star_errors=[[label, err] for label, err in weak_star_error(config, measure)],
         containment_margin=containment_check(config, fld, measure.l1),
-        mesh_values=qmesh,
     )

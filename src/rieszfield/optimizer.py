@@ -143,18 +143,18 @@ def _min_distance(X: np.ndarray) -> float:
     return float(cKDTree(X).query(X, k=2)[0][:, 1].min())
 
 
-def _pair_kernel(X: np.ndarray, s: float, gradient: bool = False):
+def _pair_kernel(X: np.ndarray, s: float):
     """One pass over the pairs of X in square tiles of squared distances.
 
     Returns (energy, r2min, G, P): the pair energy over ordered pairs,
     sum_{i != j} |x_i - x_j|^(-s), the smallest squared distance (inf
-    for fewer than two points) and, with ``gradient``, the ambient pair
-    gradient and the per-point stiffness P_i = 2s(s+1) sum_{j != i}
-    |x_i - x_j|^(-s-2), the radial second derivative of point i's pair
-    terms (else None and None).  The points are split evenly into
-    ceil(N / _TILE) runs; each run is a tile with itself and with every
-    later run, so each unordered pair is visited once and peak memory is
-    one tile.  r2min is read before a tile is overwritten.
+    for fewer than two points), the ambient pair gradient and the
+    per-point stiffness P_i = 2s(s+1) sum_{j != i} |x_i - x_j|^(-s-2),
+    the radial second derivative of point i's pair terms.  The points
+    are split evenly into ceil(N / _TILE) runs; each run is a tile with
+    itself and with every later run, so each unordered pair is visited
+    once and peak memory is one tile.  r2min is read, and the energy
+    summed, before a tile is overwritten.
 
     A diagonal tile's pairs are exact coordinate differences (``pdist``),
     so a call with N <= _TILE is exactly that.  Each off-diagonal tile is
@@ -185,9 +185,9 @@ def _pair_kernel(X: np.ndarray, s: float, gradient: bool = False):
     line = p == 1 and runs > 1
     total, r2min = 0.0, np.inf
     # per point: sum_j c_ij x_j (or, on a line, sum_j c_ij (x_j - x_i)), then sum_j c_ij
-    A = np.zeros((n, p + 1)) if gradient else None
-    X1 = np.hstack([X, np.ones((n, 1))]) if gradient and not line else None
-    ones = np.ones(n) if runs > 1 else None
+    A = np.zeros((n, p + 1))
+    X1 = np.hstack([X, np.ones((n, 1))])
+    ones = np.ones(n)
     if runs > 1 and not line:
         Y = X - 0.5 * (X.min(axis=0) + X.max(axis=0))
         a = np.einsum("ij,ij->i", Y, Y)
@@ -224,8 +224,6 @@ def _pair_kernel(X: np.ndarray, s: float, gradient: bool = False):
                 # square diagonal tile holds both orders of each pair
                 wsum = w.sum() if w.ndim == 1 else ones[rows] @ w @ ones[cols]
                 total += (1.0 if line and diagonal else 2.0) * float(wsum)
-                if not gradient:
-                    continue
                 c = np.multiply(w, inv, out=inv)
                 if line:
                     cD = np.multiply(c, D, out=D)
@@ -240,24 +238,22 @@ def _pair_kernel(X: np.ndarray, s: float, gradient: bool = False):
                 else:
                     A[rows] += c @ X1[cols]
                     A[cols] += c.T @ X1[rows]
-        if not gradient:
-            return total, r2min, None, None
         G = 2.0 * s * (A[:, :-1] if line else A[:, :-1] - X * A[:, -1:])
     return total, r2min, G, 2.0 * s * (s + 1.0) * A[:, -1]
 
 
-def _objective(X: np.ndarray, cset: CompactSet, fld: ExternalField, s: float, gradient: bool = False):
+def _objective(X: np.ndarray, cset: CompactSet, fld: ExternalField, s: float):
     """Energy of the points X from one pair pass.
 
     Returns (E, r2min, G, P).  E is +inf under the collision guard (r2min
     below (1e-12 * diameter)^2, exact coincidence r2min == 0 included)
-    and on field poles.  With ``gradient``, G and P are the pair kernel's
-    ambient pair gradient and stiffness (else None and None);
-    ``_tangent_gradient`` completes G for the points the descent keeps.
+    and on field poles.  G and P are the pair kernel's ambient pair
+    gradient and stiffness; ``_tangent_gradient`` completes G for the
+    points the descent keeps.
     """
     n = len(X)
     weight = tau(s, cset.hausdorff_dim, n) / n
-    pair, r2min, G, P = _pair_kernel(X, s, gradient=gradient)
+    pair, r2min, G, P = _pair_kernel(X, s)
     if r2min < (1e-12 * cset.diameter) ** 2:
         pair = np.inf
     E = pair + weight * float(np.asarray(fld.evaluate(X), dtype=float).sum())
@@ -289,7 +285,7 @@ def energy(config: Configuration, fld: ExternalField, s: float) -> float:
 def energy_gradient(config: Configuration, fld: ExternalField, s: float) -> np.ndarray:
     """Tangent-projected ambient gradient of the energy, one row per point."""
     X = config.points
-    G = _pair_kernel(X, s, gradient=True)[2]
+    G = _pair_kernel(X, s)[2]
     return _tangent_gradient(config.cset, fld, s, X, G)
 
 
@@ -405,7 +401,7 @@ def _descend(cset, fld, s, X, E, G, P, max_iters, gtol):
         # Armijo asks a share of the first-order decrease <G, X - X1>
         nonlocal trials
         trials += 1
-        E1, _, G1, P1 = _objective(X1, cset, fld, s, gradient=True)
+        E1, _, G1, P1 = _objective(X1, cset, fld, s)
         return np.isfinite(E1) and E - E1 >= _ARMIJO_C * decrease, E1, G1, P1
 
     for it in range(max_iters):
@@ -515,7 +511,7 @@ def minimize(
         rng = np.random.default_rng([settings.rng_seed, r])
         for _ in range(100):
             X = _sample_initial(cset, N, rng, settings.init, measure)
-            E, _, G, P = _objective(X, cset, fld, s, gradient=True)
+            E, _, G, P = _objective(X, cset, fld, s)
             if np.isfinite(E):
                 break
         else:

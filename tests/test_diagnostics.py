@@ -268,17 +268,16 @@ def _fibonacci(sphere, n, rng):
 def test_region_mesh_ratios(sphere, measure_a, rng):
     cfg = _fibonacci(sphere, 400, rng)
     fld, pts, sep = catalog("a"), covering_mesh(sphere, 0.04), separation(cfg)
-    q = fld.evaluate(pts)
-    ratios = region_mesh_ratios(cfg, fld, measure_a.l1, sep, pts, q)
+    ratios = region_mesh_ratios(cfg, fld, measure_a.l1, sep, pts)
     assert set(ratios) == {"mid", "polar"}
     for value in ratios.values():
         assert math.isfinite(value) and 0.0 < value < 5.0
-    halved = region_mesh_ratios(cfg, fld, measure_a.l1, 2.0 * sep, pts, q)
+    halved = region_mesh_ratios(cfg, fld, measure_a.l1, 2.0 * sep, pts)
     for name in ratios:
         assert halved[name] == pytest.approx(ratios[name] / 2.0, rel=1e-12)
     # points only in the band |z| < 0.2 leave the polar region without points
     P = np.column_stack([rng.uniform(-0.2, 0.2, 200), rng.uniform(0.0, 2.0 * np.pi, 200)])
-    empty = region_mesh_ratios(_cfg(sphere.chart(P), sphere), fld, measure_a.l1, sep, pts, q)
+    empty = region_mesh_ratios(_cfg(sphere.chart(P), sphere), fld, measure_a.l1, sep, pts)
     assert math.isnan(empty["polar"]) and math.isfinite(empty["mid"])
 
 
@@ -305,7 +304,7 @@ def _region_ratios_by_components(cfg, fld, l1, sep, mesh):
 def test_region_mesh_ratios_match_components(sphere, measure_a, n, seed):
     cfg = _fibonacci(sphere, n, np.random.default_rng(seed))
     fld, mesh, sep = catalog("a"), (covering_mesh(sphere, 0.04), 0.04), separation(cfg)
-    ratios = region_mesh_ratios(cfg, fld, measure_a.l1, sep, mesh[0], fld.evaluate(mesh[0]))
+    ratios = region_mesh_ratios(cfg, fld, measure_a.l1, sep, mesh[0])
     assert ratios == _region_ratios_by_components(cfg, fld, measure_a.l1, sep, mesh)
 
 
@@ -324,7 +323,7 @@ def test_coincident_points_refused_before_mesh_work(sphere, monkeypatch):
     X = _fibonacci(sphere, 50, np.random.default_rng(0)).points
     X[1] = X[0]
     with pytest.raises(ValueError, match="coincident points give infinite energy"):
-        region_mesh_ratios(_cfg(X, sphere), ExternalField(_unevaluated), 0.5, 0.0, pts, np.zeros(len(pts)))
+        region_mesh_ratios(_cfg(X, sphere), ExternalField(_unevaluated), 0.5, 0.0, pts)
 
 
 def test_build_report_consistency(interval02, measure_e):
