@@ -228,7 +228,7 @@ def _solve_config(cfg: dict, where, out_dir, label=None, entry=None):
     if n < 2:
         raise CliError(EXIT_CONFIG, f"need at least 2 points, got n={n}")
     try:
-        fld = field_from_descriptor(field_desc, cset, s)
+        fld = field_from_descriptor(field_desc, cset, const)
     except (ValueError, TypeError, KeyError) as e:
         raise CliError(EXIT_CONFIG, f"bad field descriptor: {e}") from e
     settings = _settings_from(cfg.get("settings"), cfg.get("seed"))

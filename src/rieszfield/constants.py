@@ -97,8 +97,8 @@ def riesz_constant(s: float, d: int, override: float | None = None) -> RieszCons
     volume).  For d = 2, s > 2 the conjectured triangular-lattice value
     ``HEX_CELL_AREA**(s/2) * epstein_zeta_hex(s)`` is returned, flagged
     through ``provenance``.  Any other combination raises unless
-    ``override`` supplies the constant; a non-finite s or one below d
-    always raises.
+    ``override`` supplies the constant, which must be finite and
+    positive; a non-finite s or one below d always raises.
     """
     s = float(s)
     if not math.isfinite(s):
@@ -108,7 +108,10 @@ def riesz_constant(s: float, d: int, override: float | None = None) -> RieszCons
         raise ValueError("d must be a positive integer")
     _require_hypersingular(s, d)
     if override is not None:
-        return RieszConstant(s, d, float(override), "user_override")
+        value = float(override)
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"C(s, d) override: constant must be finite and positive, got {value!r}")
+        return RieszConstant(s, d, value, "user_override")
     if s == d:
         # unit-ball volume; d = 1 via the gamma formula rounds to
         # 1.9999999999999998, so take the exact value directly

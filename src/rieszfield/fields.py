@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constants import m_constant, riesz_constant
+from .constants import RieszConstant, m_constant, riesz_constant
 from .equilibrium import integrate_adaptive, solve_equilibrium
 from .geometry import CompactSet, _by_rows, _descriptor, _row_dot
 
@@ -417,16 +417,20 @@ def _expression_field(desc: dict) -> ExternalField:
     return ExternalField(evaluate, gradient, label="expression")
 
 
-def field_from_descriptor(desc: dict, cset: CompactSet, s: float | None = None) -> ExternalField:
-    """Field from a JSON descriptor: catalog, designed, or expression."""
+def field_from_descriptor(desc: dict, cset: CompactSet, c_sd: RieszConstant | None = None) -> ExternalField:
+    """Field from a JSON descriptor: catalog, designed, or expression.
+
+    A designed field is built with ``c_sd``, the run's C(s, d), which
+    carries its energy exponent s.
+    """
     kind = _descriptor(desc, "field descriptor").get("kind")
     if kind == "catalog":
         return catalog(desc["id"])
     if kind == "designed":
-        if s is None:
-            raise ValueError("designed field descriptor needs the energy exponent s")
+        if c_sd is None:
+            raise ValueError("designed field descriptor needs the run's C(s, d) and its energy exponent s")
         rho = density_from_descriptor(desc["rho"], cset)
-        return design_field(cset, rho, s).q
+        return design_field(cset, rho, c_sd.s, c_sd=c_sd).q
     if kind == "expression":
         return _expression_field(desc)
     raise ValueError(f"unknown field descriptor kind {kind!r}")

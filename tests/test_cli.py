@@ -14,6 +14,7 @@ import pytest
 
 import rieszfield
 from rieszfield import cli, equilibrium
+from rieszfield.constants import riesz_constant
 from rieszfield.equilibrium import EquilibriumError, solve_equilibrium
 from rieszfield.fields import field_from_descriptor
 from rieszfield.geometry import set_from_descriptor
@@ -108,6 +109,37 @@ def test_solve_config_out_dir_and_c_override(tmp_path, capsys, monkeypatch):
     for bad in (0.0, -1.0):
         assert cli.main(["solve", _tiny_config(tmp_path, c_override=bad)]) == 2
         assert "constant must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0])
+def test_bad_override_is_named(tmp_path, capsys, monkeypatch, bad):
+    # the message calls it the C(s, d) override and prints its value
+    message = f"C(s, d) override: constant must be finite and positive, got {bad!r}"
+    assert cli.main(["constants", "--s", "4", "--d", "1", "--override", str(bad)]) == 2
+    assert message in capsys.readouterr().err
+    _no_solve(monkeypatch)
+    assert cli.main(["solve", _tiny_config(tmp_path, c_override=bad)]) == 2
+    assert message in capsys.readouterr().err
+    set_json = _write_json(tmp_path / "set.json", {"kind": "interval", "a": 0.0, "b": 1.0})
+    rho_json = _write_json(tmp_path / "rho.json", {"kind": "uniform"})
+    argv = ["design", set_json, rho_json, "--s", "4", "--override", str(bad), "--out", str(tmp_path / "d.json")]
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_designed_field_uses_c_override(tmp_path):
+    # a designed field built with the run's C(s, d) has L1 = 0 under an override too
+    out = tmp_path / "run"
+    cfg = _tiny_config(
+        tmp_path,
+        set={"kind": "interval", "a": 0.0, "b": 1.0},
+        field={"kind": "designed", "rho": {"kind": "uniform"}},
+        c_override=3.0,
+    )
+    assert cli.main(["solve", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["constants"]["c_sd"] == 3.0
+    assert abs(report["l1"]) < 1e-8
 
 
 def test_solve_byte_determinism(tmp_path):
@@ -363,7 +395,7 @@ def test_design_round_trip(tmp_path, capsys):
     assert desc["renormalized"] is False
     # the emitted descriptor must load as a usable field
     cset = set_from_descriptor(json.loads(Path(set_json).read_text()))
-    fld = field_from_descriptor(desc["field"], cset, s=desc["field"]["s"])
+    fld = field_from_descriptor(desc["field"], cset, c_sd=riesz_constant(desc["field"]["s"], cset.hausdorff_dim))
     vals = fld.evaluate(cset.nodes)
     assert np.allclose(vals, vals[0])  # uniform target: constant q
     stdout = capsys.readouterr().out

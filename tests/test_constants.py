@@ -88,6 +88,13 @@ def test_user_override():
     assert m_constant(3.5, 3, c) == pytest.approx(9.25 * (1 + 3.5 / 3), rel=1e-14)
 
 
+# 0 and -1 are checked through the CLI
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_override_is_named(bad):
+    with pytest.raises(ValueError, match=rf"^C\(s, d\) override: constant must be finite and positive, got {bad!r}$"):
+        riesz_constant(4.0, 1, override=bad)
+
+
 def test_unknown_combination_names_the_escape_hatch():
     with pytest.raises(ValueError, match="no known constant.*supply user_override"):
         riesz_constant(3.5, 3)

@@ -279,11 +279,13 @@ def test_density_descriptors(interval02, sphere):
 def test_field_descriptors(interval02, sphere):
     qa = field_from_descriptor({"kind": "catalog", "id": "a"}, sphere)
     assert qa.label == "q_a"
-    designed = field_from_descriptor({"kind": "designed", "rho": {"kind": "uniform"}}, sphere, s=3.0)
+    designed = field_from_descriptor(
+        {"kind": "designed", "rho": {"kind": "uniform"}}, sphere, c_sd=riesz_constant(3.0, 2)
+    )
     assert np.allclose(
         designed.evaluate(sphere.nodes[:5]), -m_constant(3.0, 2) * (4 * math.pi) ** -1.5, rtol=1e-12
     )
-    with pytest.raises(ValueError, match="needs the energy exponent"):
+    with pytest.raises(ValueError, match=r"needs the run's C\(s, d\)"):
         field_from_descriptor({"kind": "designed", "rho": {"kind": "uniform"}}, sphere)
     with pytest.raises(ValueError, match="unknown field"):
         field_from_descriptor({"kind": "mystery"}, interval02)
