@@ -428,7 +428,7 @@ def field_from_descriptor(desc: dict, cset: CompactSet, c_sd: RieszConstant | No
         return catalog(desc["id"])
     if kind == "designed":
         if c_sd is None:
-            raise ValueError("designed field descriptor needs the run's C(s, d) and its energy exponent s")
+            raise ValueError("designed field descriptor needs the run's C(s, d)")
         rho = density_from_descriptor(desc["rho"], cset)
         return design_field(cset, rho, c_sd.s, c_sd=c_sd).q
     if kind == "expression":
