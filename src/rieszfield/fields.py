@@ -421,7 +421,8 @@ def field_from_descriptor(desc: dict, cset: CompactSet, c_sd: RieszConstant | No
     """Field from a JSON descriptor: catalog, designed, or expression.
 
     A designed field is built with ``c_sd``, the run's C(s, d), which
-    carries its energy exponent s.
+    carries its energy exponent s; a descriptor that names its own
+    ``"s"`` must name that one.
     """
     kind = _descriptor(desc, "field descriptor").get("kind")
     if kind == "catalog":
@@ -429,6 +430,11 @@ def field_from_descriptor(desc: dict, cset: CompactSet, c_sd: RieszConstant | No
     if kind == "designed":
         if c_sd is None:
             raise ValueError("designed field descriptor needs the run's C(s, d)")
+        if "s" in desc and float(desc["s"]) != c_sd.s:
+            raise ValueError(
+                f"designed field descriptor was designed at s = {float(desc['s'])!r}, "
+                f"but the run has s = {c_sd.s!r}"
+            )
         rho = density_from_descriptor(desc["rho"], cset)
         return design_field(cset, rho, c_sd.s, c_sd=c_sd).q
     if kind == "expression":

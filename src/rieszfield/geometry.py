@@ -53,6 +53,8 @@ class CompactSet:
     total_measure : H_d(A)
     diameter : Euclidean diameter of A
     nodes, weights : quadrature rule for integrals over A
+    axes : per parameter axis, the coordinates of the quadrature nodes;
+        ``nodes`` is ``chart`` on their tensor grid, axis 0 slowest
     retract : map of ambient points, shape (n, p), to nearest points on A
     tangent_project : (points on A (n, p), ambient vectors (..., n, p))
         -> tangent vectors (..., n, p); a stack of vector fields at the
@@ -76,6 +78,7 @@ class CompactSet:
     diameter: float
     nodes: np.ndarray
     weights: np.ndarray
+    axes: tuple
     retract: Callable[[np.ndarray], np.ndarray]
     tangent_project: Callable[[np.ndarray, np.ndarray], np.ndarray]
     chart: Callable[[np.ndarray], np.ndarray]
@@ -217,6 +220,7 @@ def _chart_set(
         diameter=diameter,
         nodes=nodes,
         weights=weights,
+        axes=tuple(axes),
         retract=retract,
         tangent_project=tangent_project,
         chart=chart,

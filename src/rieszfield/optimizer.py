@@ -98,7 +98,7 @@ class OptimizerSettings:
     max_iters: int = 5000
     restarts: int = 3
     rng_seed: int = 0
-    init: str = "weighted"  # weighted | density | stratified
+    init: str = "weighted"  # weighted (i.i.d. nodes) | stratified (quantile-mapped lattice)
 
     def __post_init__(self):
         for key in ("max_iters", "restarts", "rng_seed"):
@@ -107,7 +107,7 @@ class OptimizerSettings:
             raise ValueError("max_iters and restarts must be positive")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
-        if self.init not in ("weighted", "density", "stratified"):
+        if self.init not in ("weighted", "stratified"):
             raise ValueError(f"unknown init mode {self.init!r}")
 
 
@@ -289,28 +289,38 @@ def energy_gradient(config: Configuration, fld: ExternalField, s: float) -> np.n
     return _tangent_gradient(config.cset, fld, s, X, G)
 
 
-def _sample_initial(cset: CompactSet, N: int, rng, mode: str, measure) -> np.ndarray:
-    nodes, weights = cset.nodes, cset.weights
-    if mode in ("density", "stratified"):
+def _sample_initial(cset: CompactSet, N: int, rng, mode: str, measure, shift: bool) -> np.ndarray:
+    """N starting points on the set.
+
+    ``weighted``: quadrature nodes drawn i.i.d. by weight, repeats
+    jittered apart.  ``stratified``: the lattice ((k + 1/2)/N, frac(k g)),
+    g = (sqrt 5 - 1)/2, pushed to ``measure`` by the Knothe-Rosenblatt
+    map in chart parameters (Rosenblatt 1952): the first coordinate
+    through the CDF of the marginal along chart axis 0, the second
+    through the conditional CDF of the quadrature row the first lands
+    in, each interpolated between node coordinates from the node masses
+    weight * density.  ``shift`` moves the lattice by an offset from
+    ``rng``, mod 1 (Cranley & Patterson 1976).
+    """
+    if mode == "stratified":
         if measure is None:
             raise ValueError(f"init mode {mode!r} needs an equilibrium measure")
-        p = weights * measure.density(nodes)
-        if mode == "stratified":
-            if nodes.shape[1] != 1:
-                raise ValueError("stratified init is one-dimensional")
-            order = np.argsort(nodes[:, 0])
-            xs = nodes[order, 0]
-            cdf = np.cumsum(p[order])
-            cdf = cdf / cdf[-1]
-            targets = (np.arange(N) + 0.5) / N
-            return np.interp(targets, cdf, xs)[:, None]
-    else:
-        p = weights.copy()
-    if p.sum() <= 0:
-        raise ValueError("initialization weights vanish")
-    p = p / p.sum()
-    idx = rng.choice(len(nodes), size=N, replace=True, p=p)
-    X = nodes[idx].copy()
+        k = np.arange(N)
+        t = [(k + 0.5) / N, k * (0.5 * (math.sqrt(5.0) - 1.0)) % 1.0][: cset.hausdorff_dim]
+        if shift:
+            t = [(c + rng.random()) % 1.0 for c in t]
+        mass = cset.weights * measure.density(cset.nodes)
+        # per quadrature row (node of axis 0), the running mass along axis 1
+        rows = np.cumsum(mass.reshape(len(cset.axes[0]), -1), axis=1)
+        cdf = np.cumsum(rows[:, -1])
+        cdf = cdf / cdf[-1]
+        u = [np.interp(t[0], cdf, cset.axes[0])]
+        if len(t) == 2:
+            # row i holds cdf[i-1] <= t < cdf[i], so it has mass
+            held = np.searchsorted(cdf, t[0], side="right")
+            u.append([np.interp(c, rows[i] / rows[i, -1], cset.axes[1]) for i, c in zip(held, t[1])])
+        return cset.chart(np.stack(u, axis=1))
+    X = cset.nodes[rng.choice(len(cset.nodes), size=N, p=cset.weights / cset.weights.sum())]
     # jitter duplicate draws back apart; discrete nodes can repeat when
     # N exceeds the node count
     for _ in range(100):
@@ -454,11 +464,13 @@ def minimize(
 ) -> MinimizeResult:
     """Best-of-restarts approximate minimizer of the (s, d, q) energy.
 
-    Initial points are quadrature nodes drawn with probability
-    proportional to weight (or weight times equilibrium density for the
-    density/stratified modes, which need ``measure``).  Each restart
-    descends along the tangent gradient G preconditioned by the pair
-    stiffness P_i = 2s(s+1) sum_j |x_i - x_j|^(-s-2).  G leaves out each
+    Restart r starts from ``_sample_initial`` with an rng seeded by
+    (rng_seed, r): quadrature nodes drawn by weight (``weighted``), or a
+    lattice pushed to ``measure``, the equilibrium measure, by its
+    quantile map (``stratified``), unshifted at restart 0 and shifted by
+    an offset from the rng after it.  Each restart descends along the
+    tangent gradient G preconditioned by the pair stiffness
+    P_i = 2s(s+1) sum_j |x_i - x_j|^(-s-2).  G leaves out each
     component along which the retraction holds the points against a step
     down G (on an interval, a push out through an endpoint); that G sets
     the norm, the directions and the curvature pairs.  Every trial X1 is
@@ -509,8 +521,10 @@ def minimize(
     best, restarts = None, []
     for r in range(settings.restarts):
         rng = np.random.default_rng([settings.rng_seed, r])
-        for _ in range(100):
-            X = _sample_initial(cset, N, rng, settings.init, measure)
+        for attempt in range(100):
+            # restart 0 opens unshifted; a lattice with infinite energy
+            # (a point on a field pole) is drawn again shifted
+            X = _sample_initial(cset, N, rng, settings.init, measure, shift=r > 0 or attempt > 0)
             E, _, G, P = _objective(X, cset, fld, s)
             if np.isfinite(E):
                 break

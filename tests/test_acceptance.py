@@ -236,7 +236,7 @@ def test_criterion_7_structural_properties(interval01, interval02, sphere, torus
         # in the points
         res30 = minimize(
             interval02, catalog("e"), 4.0, 30,
-            OptimizerSettings(restarts=1, max_iters=400, rng_seed=0, init="density"),
+            OptimizerSettings(restarts=1, max_iters=400, rng_seed=0, init="stratified"),
             measure=measure_e,
         )
         assert np.all(np.diff(res30.trace[:, 1]) <= 0)

@@ -226,6 +226,12 @@ def _no_solve(monkeypatch):
         ({"s": "four"}, "s must be a number, got 'four'"),
         # the descent's gradient tolerance is fixed
         ({"settings": {"grad_tol": 1e-3}}, "unexpected keyword argument 'grad_tol'"),
+        ({"settings": {"init": "density"}}, "bad optimizer settings: unknown init mode 'density'"),
+        # a field designed at s = 4 does not run at s = 2
+        (
+            {"field": {"kind": "designed", "rho": {"kind": "uniform"}, "s": 4.0}, "s": 2.0},
+            "bad field descriptor: designed field descriptor was designed at s = 4.0, but the run has s = 2.0",
+        ),
     ],
 )
 def test_solve_names_malformed_value(tmp_path, capsys, monkeypatch, overrides, message):
@@ -467,7 +473,7 @@ def test_reproduce_zero_override_rejected(tmp_path, capsys, flag, message):
 
 # example: (n, max_iters, init, restarts, published_n, published window names)
 BUNDLED = {
-    "a": (1000, 1500, "density", 2, 1000, ["separation", "mesh_ratio_mid", "mesh_ratio_polar"]),
+    "a": (1000, 1500, "stratified", 1, 1000, ["separation", "mesh_ratio_mid", "mesh_ratio_polar"]),
     "b": (200, 3000, "weighted", 1, 500, ["separation"]),
     "c": (500, 2000, "weighted", 1, 500, ["separation"]),
     "d": (1000, 1500, "weighted", 1, 1000, ["separation", "void_avoidance"]),

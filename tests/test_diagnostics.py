@@ -329,7 +329,7 @@ def test_coincident_points_refused_before_mesh_work(sphere, monkeypatch):
 def test_build_report_consistency(interval02, measure_e):
     res = minimize(
         interval02, catalog("e"), 4.0, 40,
-        OptimizerSettings(restarts=1, max_iters=800, rng_seed=0, init="density"),
+        OptimizerSettings(restarts=1, max_iters=800, rng_seed=0, init="stratified"),
         measure=measure_e,
     )
     rep = build_report(res.config, catalog("e"), 4.0, measure_e)

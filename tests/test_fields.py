@@ -287,6 +287,12 @@ def test_field_descriptors(interval02, sphere):
     )
     with pytest.raises(ValueError, match=r"needs the run's C\(s, d\)"):
         field_from_descriptor({"kind": "designed", "rho": {"kind": "uniform"}}, sphere)
+    # a descriptor's own s must be the run's; a matching one builds the same field
+    own = {"kind": "designed", "rho": {"kind": "uniform"}, "s": 3}
+    matched = field_from_descriptor(own, sphere, c_sd=riesz_constant(3.0, 2))
+    assert np.array_equal(matched.evaluate(sphere.nodes[:5]), designed.evaluate(sphere.nodes[:5]))
+    with pytest.raises(ValueError, match=r"designed at s = 3.0, but the run has s = 2.5"):
+        field_from_descriptor(own, sphere, c_sd=riesz_constant(2.5, 2))
     with pytest.raises(ValueError, match="unknown field"):
         field_from_descriptor({"kind": "mystery"}, interval02)
 

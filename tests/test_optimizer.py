@@ -10,7 +10,7 @@ from scipy.spatial.distance import pdist
 from rieszfield import cli, diagnostics, optimizer
 from rieszfield.equilibrium import solve_equilibrium
 from rieszfield.fields import ExternalField, catalog
-from rieszfield.geometry import make_interval, make_sphere
+from rieszfield.geometry import make_interval, make_param_set, make_sphere
 from rieszfield.optimizer import (
     _TILE,
     _sample_initial,
@@ -457,7 +457,7 @@ def test_restart_seed_changes_init(sphere, measure_a):
 
 
 def test_init_modes(interval02, measure_e):
-    for init in ("weighted", "density", "stratified"):
+    for init in ("weighted", "stratified"):
         res = minimize(
             interval02, catalog("e"), 4.0, 20,
             OptimizerSettings(restarts=1, max_iters=20, init=init), measure=measure_e,
@@ -467,9 +467,103 @@ def test_init_modes(interval02, measure_e):
         assert np.linalg.norm(X - interval02.retract(X), axis=1).max() < 1e-12
 
 
-def test_density_init_needs_measure(interval02):
+def test_stratified_init_needs_measure(interval02):
     with pytest.raises(ValueError, match="measure"):
-        minimize(interval02, ZERO, 4.0, 10, OptimizerSettings(init="density", restarts=1))
+        minimize(interval02, ZERO, 4.0, 10, OptimizerSettings(init="stratified", restarts=1))
+
+
+class _Tilted:
+    """A stand-in equilibrium measure whose density rises along the first
+    ambient axis and vanishes where it is at most ``floor``: chart rows
+    and columns get unequal masses, and with a finite floor some get
+    none."""
+
+    def __init__(self, cset, floor=-np.inf):
+        self.scale, self.floor = cset.diameter, floor
+
+    def density(self, X):
+        x = np.atleast_2d(X)[:, 0] / self.scale
+        return np.where(x > self.floor, 1.0 + x, 0.0)
+
+
+def _circle(R=1.5):
+    # a curve in R^2 from a user chart
+    def retract(pts):
+        pts = np.atleast_2d(pts)
+        return R * pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+    return make_param_set(
+        lambda p: R * np.stack([np.cos(p[:, 0]), np.sin(p[:, 0])], axis=1),
+        lambda p: np.full(len(p), R), [(0.0, 2 * math.pi)], retract, ambient_dim=2, n_quad=[128],
+    )
+
+
+def _user_sphere(sphere):
+    # a surface from a user chart: the sphere's own, without its periodic axis
+    return make_param_set(
+        sphere.chart, sphere.chart_jacobian, sphere.param_bounds, sphere.retract, ambient_dim=3
+    )
+
+
+@pytest.mark.parametrize("kind", ["sphere", "torus", "param-surface", "param-curve"])
+def test_stratified_start_on_every_chart(kind, sphere, torus24, measure_a):
+    cset, measure = {
+        "sphere": lambda: (sphere, measure_a),
+        "torus": lambda: (torus24, _Tilted(torus24, floor=-0.3)),
+        "param-surface": lambda: (_user_sphere(sphere), _Tilted(sphere)),
+        "param-curve": lambda: (_circle(), _Tilted(_circle(), floor=-0.2)),
+    }[kind]()
+    N = 300
+
+    def start(seed, r):
+        return _sample_initial(cset, N, np.random.default_rng([seed, r]), "stratified", measure, r > 0)
+
+    X = start(0, 0)
+    assert X.shape == (N, cset.ambient_dim)
+    # on the set, pairwise distinct
+    assert np.abs(X - cset.retract(X)).max() < 1e-12 * cset.diameter
+    assert pdist(X).min() > 1e-6 * cset.diameter
+    # the counting measure of the start is close to the measure; the map
+    # spreads each node's mass over the interval below it, so a mean may
+    # lag by up to half a node spacing
+    mass = cset.weights * measure.density(cset.nodes)
+    for k in range(cset.ambient_dim):
+        expected = float(mass @ cset.nodes[:, k] / mass.sum())
+        assert abs(X[:, k].mean() - expected) < 0.02 * cset.diameter, k
+    # restart 0 is unshifted: the same points for every seed
+    assert np.array_equal(start(0, 0), X) and np.array_equal(start(5, 0), X)
+    # later restarts are shifted by their own seed's offset
+    shifted = start(0, 1)
+    assert np.abs(shifted - cset.retract(shifted)).max() < 1e-12 * cset.diameter
+    assert pdist(shifted).min() > 1e-6 * cset.diameter
+    assert np.array_equal(start(0, 1), shifted)
+    assert not np.array_equal(shifted, X)
+    assert not np.array_equal(start(1, 1), shifted)
+    assert not np.array_equal(start(0, 2), shifted)
+
+
+def test_stratified_start_on_the_line_is_the_quantile_map(interval02, measure_e):
+    # e's start: the quantile map of the node masses at (k + 1/2)/N, by
+    # the one-dimensional formula, to the bit
+    nodes = interval02.nodes
+    p = interval02.weights * measure_e.density(nodes)
+    order = np.argsort(nodes[:, 0])
+    cdf = np.cumsum(p[order])
+    cdf = cdf / cdf[-1]
+    expected = np.interp((np.arange(200) + 0.5) / 200, cdf, nodes[order, 0])[:, None]
+    X = _sample_initial(interval02, 200, None, "stratified", measure_e, False)
+    assert X.tobytes() == expected.tobytes()
+
+
+def test_seed_moves_only_shifted_restarts(interval02, measure_e):
+    def run(seed, restarts):
+        settings = OptimizerSettings(restarts=restarts, max_iters=10, rng_seed=seed, init="stratified")
+        return minimize(interval02, catalog("e"), 4.0, 30, settings, measure=measure_e).restarts
+
+    assert run(0, 1) == run(7, 1)
+    two = run(0, 2)
+    assert two[:1] == run(0, 1)
+    assert run(7, 2)[1] != two[1]
 
 
 def test_configuration_needs_ambient_columns(interval02, sphere):
@@ -595,8 +689,8 @@ def _reference_minimize(cset, fld, s, N, settings):
     best = None
     for r in range(settings.restarts):
         rng = np.random.default_rng([settings.rng_seed, r])
-        for _ in range(100):
-            X = _sample_initial(cset, N, rng, settings.init, None)
+        for attempt in range(100):
+            X = _sample_initial(cset, N, rng, settings.init, None, shift=r > 0 or attempt > 0)
             if np.isfinite(trial_energy(X)):
                 break
         else:
