@@ -289,18 +289,33 @@ def energy_gradient(config: Configuration, fld: ExternalField, s: float) -> np.n
     return _tangent_gradient(config.cset, fld, s, X, G)
 
 
+def _cell_edges(x: np.ndarray, lo: float, hi: float, wrap: bool) -> np.ndarray:
+    """Edges of the cells of the ascending nodes x of the axis [lo, hi]:
+    a node's cell runs from the midpoint with its lower neighbour to the
+    midpoint with its upper one.  On a closed axis the end cells stop at
+    lo and hi; on a periodic one the end neighbours are the nodes across
+    the seam, so the end cells straddle it."""
+    if wrap:
+        x = np.concatenate([[x[-1] - (hi - lo)], x, [x[0] + (hi - lo)]])
+        return 0.5 * (x[:-1] + x[1:])
+    return np.concatenate([[lo], 0.5 * (x[:-1] + x[1:]), [hi]])
+
+
 def _sample_initial(cset: CompactSet, N: int, rng, mode: str, measure, shift: bool) -> np.ndarray:
     """N starting points on the set.
 
     ``weighted``: quadrature nodes drawn i.i.d. by weight, repeats
     jittered apart.  ``stratified``: the lattice ((k + 1/2)/N, frac(k g)),
     g = (sqrt 5 - 1)/2, pushed to ``measure`` by the Knothe-Rosenblatt
-    map in chart parameters (Rosenblatt 1952): the first coordinate
-    through the CDF of the marginal along chart axis 0, the second
-    through the conditional CDF of the quadrature row the first lands
-    in, each interpolated between node coordinates from the node masses
-    weight * density.  ``shift`` moves the lattice by an offset from
-    ``rng``, mod 1 (Cranley & Patterson 1976).
+    map in chart parameters (Rosenblatt 1952).  Each quadrature node's
+    mass, weight * density, is spread evenly over its cell
+    (``_cell_edges``).  The first coordinate goes through the CDF of the
+    marginal along chart axis 0, taken at the cell edges; the second
+    through the conditional CDF, at the axis-1 edges, of the quadrature
+    row whose cell the first lands in.  A coordinate mapped past the
+    seam of a periodic axis is wrapped back into [lo, hi).  ``shift``
+    moves the lattice by an offset from ``rng``, mod 1 (Cranley &
+    Patterson 1976).
     """
     if mode == "stratified":
         if measure is None:
@@ -309,17 +324,26 @@ def _sample_initial(cset: CompactSet, N: int, rng, mode: str, measure, shift: bo
         t = [(k + 0.5) / N, k * (0.5 * (math.sqrt(5.0) - 1.0)) % 1.0][: cset.hausdorff_dim]
         if shift:
             t = [(c + rng.random()) % 1.0 for c in t]
+        edges = [
+            _cell_edges(x, lo, hi, wrap)
+            for x, (lo, hi), wrap in zip(cset.axes, cset.param_bounds, cset.periodic)
+        ]
         mass = cset.weights * measure.density(cset.nodes)
-        # per quadrature row (node of axis 0), the running mass along axis 1
-        rows = np.cumsum(mass.reshape(len(cset.axes[0]), -1), axis=1)
-        cdf = np.cumsum(rows[:, -1])
+        # per quadrature row (node of axis 0), the running mass at the
+        # axis-1 cell edges, and the marginal's at the axis-0 edges
+        rows = np.cumsum(np.pad(mass.reshape(len(cset.axes[0]), -1), ((0, 0), (1, 0))), axis=1)
+        cdf = np.cumsum(np.pad(rows[:, -1], (1, 0)))
         cdf = cdf / cdf[-1]
-        u = [np.interp(t[0], cdf, cset.axes[0])]
+        u = [np.interp(t[0], cdf, edges[0])]
         if len(t) == 2:
-            # row i holds cdf[i-1] <= t < cdf[i], so it has mass
-            held = np.searchsorted(cdf, t[0], side="right")
-            u.append([np.interp(c, rows[i] / rows[i, -1], cset.axes[1]) for i, c in zip(held, t[1])])
-        return cset.chart(np.stack(u, axis=1))
+            # row i holds cdf[i] <= t < cdf[i + 1], so it has mass
+            held = np.searchsorted(cdf, t[0], side="right") - 1
+            u.append([np.interp(c, rows[i] / rows[i, -1], edges[1]) for i, c in zip(held, t[1])])
+        u = np.stack(u, axis=1)
+        for axis, ((lo, hi), wrap) in enumerate(zip(cset.param_bounds, cset.periodic)):
+            if wrap:
+                u[:, axis] = lo + (u[:, axis] - lo) % (hi - lo)
+        return cset.chart(u)
     X = cset.nodes[rng.choice(len(cset.nodes), size=N, p=cset.weights / cset.weights.sum())]
     # jitter duplicate draws back apart; discrete nodes can repeat when
     # N exceeds the node count
@@ -467,12 +491,13 @@ def minimize(
     Restart r starts from ``_sample_initial`` with an rng seeded by
     (rng_seed, r): quadrature nodes drawn by weight (``weighted``), or a
     lattice pushed to ``measure``, the equilibrium measure, by its
-    quantile map (``stratified``), unshifted at restart 0 and shifted by
-    an offset from the rng after it.  Each restart descends along the
-    tangent gradient G preconditioned by the pair stiffness
-    P_i = 2s(s+1) sum_j |x_i - x_j|^(-s-2).  G leaves out each
-    component along which the retraction holds the points against a step
-    down G (on an interval, a push out through an endpoint); that G sets
+    quantile map with each quadrature node's mass spread over its cell
+    (``stratified``), unshifted at restart 0, so the same for every
+    rng_seed, and shifted by an offset from the rng after it.  Each
+    restart descends along the tangent gradient G preconditioned by the
+    pair stiffness P_i = 2s(s+1) sum_j |x_i - x_j|^(-s-2).  G leaves out
+    each component along which the retraction holds the points against a
+    step down G (on an interval, a push out through an endpoint); that G sets
     the norm, the directions and the curvature pairs.  Every trial X1 is
     retracted to the set and accepted when E - E1 >= 1e-4 * <G, X - X1>.
 

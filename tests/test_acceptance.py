@@ -195,6 +195,8 @@ def test_criterion_6_published_reproductions(tmp_path):
             comp = report["comparison"]
             assert comp is not None
             assert comp["all_within"] is True, (ex, comp["checks"])
+            # a window passed on a budget stop is not a reproduction
+            assert report["termination"] != "max_iters", (ex, report["iterations"])
         assert time.perf_counter() - t0 <= 1800.0
 
 

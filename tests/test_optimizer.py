@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -523,13 +524,21 @@ def test_stratified_start_on_every_chart(kind, sphere, torus24, measure_a):
     # on the set, pairwise distinct
     assert np.abs(X - cset.retract(X)).max() < 1e-12 * cset.diameter
     assert pdist(X).min() > 1e-6 * cset.diameter
-    # the counting measure of the start is close to the measure; the map
-    # spreads each node's mass over the interval below it, so a mean may
-    # lag by up to half a node spacing
+    # the counting measure of the start is close to the measure
     mass = cset.weights * measure.density(cset.nodes)
     for k in range(cset.ambient_dim):
         expected = float(mass @ cset.nodes[:, k] / mass.sum())
-        assert abs(X[:, k].mean() - expected) < 0.02 * cset.diameter, k
+        assert abs(X[:, k].mean() - expected) < 2e-3 * cset.diameter, k
+    # the chart parameters stay in their box, and the cells of a periodic
+    # axis straddle its seam: at most one point sits on the seam
+    params = []
+    recorded = dataclasses.replace(cset, chart=lambda u: params.append(u) or cset.chart(u))
+    _sample_initial(recorded, N, None, "stratified", measure, False)
+    (u,) = params
+    for axis, ((lo, hi), wrap) in enumerate(zip(cset.param_bounds, cset.periodic)):
+        assert lo <= u[:, axis].min() and u[:, axis].max() <= hi, axis
+        if wrap:
+            assert np.count_nonzero((u[:, axis] == lo) | (u[:, axis] == hi)) <= 1, axis
     # restart 0 is unshifted: the same points for every seed
     assert np.array_equal(start(0, 0), X) and np.array_equal(start(5, 0), X)
     # later restarts are shifted by their own seed's offset
@@ -543,14 +552,18 @@ def test_stratified_start_on_every_chart(kind, sphere, torus24, measure_a):
 
 
 def test_stratified_start_on_the_line_is_the_quantile_map(interval02, measure_e):
-    # e's start: the quantile map of the node masses at (k + 1/2)/N, by
+    # e's start: the quantile map at (k + 1/2)/N of the node masses, each
+    # spread over its cell from the midpoint with its lower neighbour to
+    # the midpoint with its upper one (the end cells stop at 0 and 2), by
     # the one-dimensional formula, to the bit
     nodes = interval02.nodes
-    p = interval02.weights * measure_e.density(nodes)
     order = np.argsort(nodes[:, 0])
-    cdf = np.cumsum(p[order])
+    x = nodes[order, 0]
+    p = (interval02.weights * measure_e.density(nodes))[order]
+    edges = np.concatenate([[0.0], 0.5 * (x[:-1] + x[1:]), [2.0]])
+    cdf = np.concatenate([[0.0], np.cumsum(p)])
     cdf = cdf / cdf[-1]
-    expected = np.interp((np.arange(200) + 0.5) / 200, cdf, nodes[order, 0])[:, None]
+    expected = np.interp((np.arange(200) + 0.5) / 200, cdf, edges)[:, None]
     X = _sample_initial(interval02, 200, None, "stratified", measure_e, False)
     assert X.tobytes() == expected.tobytes()
 
