@@ -18,7 +18,7 @@ from scipy import sparse
 from scipy.spatial import cKDTree
 
 from .geometry import CompactSet
-from .optimizer import _COINCIDENT, Configuration, _min_distance, energy, tau
+from .optimizer import _COINCIDENT, Configuration, energy, tau
 
 __all__ = [
     "DiagnosticsReport",
@@ -37,10 +37,11 @@ __all__ = [
 
 def separation(config: Configuration) -> float:
     """Minimal pairwise distance, by an exact KD-tree nearest-neighbour
-    search in O(N log N)."""
+    search in O(N log N); 0 for coincident points."""
     if config.n < 2:
         raise ValueError("separation needs at least two points")
-    return _min_distance(config.points)
+    X = config.points
+    return float(cKDTree(X).query(X, k=2)[0][:, 1].min())
 
 
 def _require_separated(sep: float) -> None:

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from .fields import ExternalField, field_gradient
@@ -98,7 +97,9 @@ class OptimizerSettings:
     max_iters: int = 5000
     restarts: int = 3
     rng_seed: int = 0
-    init: str = "weighted"  # weighted (i.i.d. nodes) | stratified (quantile-mapped lattice)
+    # the measure the start's lattice is pushed to (``_sample_initial``):
+    # weighted (the set's own) | stratified (the equilibrium measure)
+    init: str = "weighted"
 
     def __post_init__(self):
         for key in ("max_iters", "restarts", "rng_seed"):
@@ -135,12 +136,6 @@ _FLOOR_ULPS = 64
 # (N = 4000) of the even split.  208 is the fastest side that keeps
 # N = 200 one tile.
 _TILE = 208
-
-
-def _min_distance(X: np.ndarray) -> float:
-    """Smallest distance between two of the points X by nearest-neighbour
-    search (0 for coincident points, inf for fewer than two)."""
-    return float(cKDTree(X).query(X, k=2)[0][:, 1].min())
 
 
 def _pair_kernel(X: np.ndarray, s: float):
@@ -302,57 +297,49 @@ def _cell_edges(x: np.ndarray, lo: float, hi: float, wrap: bool) -> np.ndarray:
 
 
 def _sample_initial(cset: CompactSet, N: int, rng, mode: str, measure, shift: bool) -> np.ndarray:
-    """N starting points on the set.
+    """N starting points on the set: the lattice ((k + 1/2)/N, frac(k g)),
+    g = (sqrt 5 - 1)/2, pushed to a measure by the Knothe-Rosenblatt map
+    in chart parameters (Rosenblatt 1952).
 
-    ``weighted``: quadrature nodes drawn i.i.d. by weight, repeats
-    jittered apart.  ``stratified``: the lattice ((k + 1/2)/N, frac(k g)),
-    g = (sqrt 5 - 1)/2, pushed to ``measure`` by the Knothe-Rosenblatt
-    map in chart parameters (Rosenblatt 1952).  Each quadrature node's
-    mass, weight * density, is spread evenly over its cell
-    (``_cell_edges``).  The first coordinate goes through the CDF of the
-    marginal along chart axis 0, taken at the cell edges; the second
-    through the conditional CDF, at the axis-1 edges, of the quadrature
-    row whose cell the first lands in.  A coordinate mapped past the
-    seam of a periodic axis is wrapped back into [lo, hi).  ``shift``
-    moves the lattice by an offset from ``rng``, mod 1 (Cranley &
-    Patterson 1976).
+    The measure gives each quadrature node a mass: its weight, the set's
+    own Hausdorff measure, for ``weighted``, and weight * density of
+    ``measure``, the equilibrium measure, for ``stratified``.  Each
+    node's mass is spread evenly over its cell (``_cell_edges``).  The
+    first coordinate goes through the CDF of the marginal along chart
+    axis 0, taken at the cell edges; the second through the conditional
+    CDF, at the axis-1 edges, of the quadrature row whose cell the first
+    lands in.  A coordinate mapped past the seam of a periodic axis is
+    wrapped back into [lo, hi).  ``shift`` moves the lattice by an offset
+    from ``rng``, mod 1 (Cranley & Patterson 1976).
     """
+    mass = cset.weights
     if mode == "stratified":
         if measure is None:
             raise ValueError(f"init mode {mode!r} needs an equilibrium measure")
-        k = np.arange(N)
-        t = [(k + 0.5) / N, k * (0.5 * (math.sqrt(5.0) - 1.0)) % 1.0][: cset.hausdorff_dim]
-        if shift:
-            t = [(c + rng.random()) % 1.0 for c in t]
-        edges = [
-            _cell_edges(x, lo, hi, wrap)
-            for x, (lo, hi), wrap in zip(cset.axes, cset.param_bounds, cset.periodic)
-        ]
-        mass = cset.weights * measure.density(cset.nodes)
-        # per quadrature row (node of axis 0), the running mass at the
-        # axis-1 cell edges, and the marginal's at the axis-0 edges
-        rows = np.cumsum(np.pad(mass.reshape(len(cset.axes[0]), -1), ((0, 0), (1, 0))), axis=1)
-        cdf = np.cumsum(np.pad(rows[:, -1], (1, 0)))
-        cdf = cdf / cdf[-1]
-        u = [np.interp(t[0], cdf, edges[0])]
-        if len(t) == 2:
-            # row i holds cdf[i] <= t < cdf[i + 1], so it has mass
-            held = np.searchsorted(cdf, t[0], side="right") - 1
-            u.append([np.interp(c, rows[i] / rows[i, -1], edges[1]) for i, c in zip(held, t[1])])
-        u = np.stack(u, axis=1)
-        for axis, ((lo, hi), wrap) in enumerate(zip(cset.param_bounds, cset.periodic)):
-            if wrap:
-                u[:, axis] = lo + (u[:, axis] - lo) % (hi - lo)
-        return cset.chart(u)
-    X = cset.nodes[rng.choice(len(cset.nodes), size=N, p=cset.weights / cset.weights.sum())]
-    # jitter duplicate draws back apart; discrete nodes can repeat when
-    # N exceeds the node count
-    for _ in range(100):
-        if _min_distance(X) > 1e-9 * cset.diameter:
-            break
-        scale = 2e-3 * cset.diameter
-        X = cset.retract(X + rng.normal(scale=scale, size=X.shape))
-    return X
+        mass = mass * measure.density(cset.nodes)
+    k = np.arange(N)
+    t = [(k + 0.5) / N, k * (0.5 * (math.sqrt(5.0) - 1.0)) % 1.0][: cset.hausdorff_dim]
+    if shift:
+        t = [(c + rng.random()) % 1.0 for c in t]
+    edges = [
+        _cell_edges(x, lo, hi, wrap)
+        for x, (lo, hi), wrap in zip(cset.axes, cset.param_bounds, cset.periodic)
+    ]
+    # per quadrature row (node of axis 0), the running mass at the
+    # axis-1 cell edges, and the marginal's at the axis-0 edges
+    rows = np.cumsum(np.pad(mass.reshape(len(cset.axes[0]), -1), ((0, 0), (1, 0))), axis=1)
+    cdf = np.cumsum(np.pad(rows[:, -1], (1, 0)))
+    cdf = cdf / cdf[-1]
+    u = [np.interp(t[0], cdf, edges[0])]
+    if len(t) == 2:
+        # row i holds cdf[i] <= t < cdf[i + 1], so it has mass
+        held = np.searchsorted(cdf, t[0], side="right") - 1
+        u.append([np.interp(c, rows[i] / rows[i, -1], edges[1]) for i, c in zip(held, t[1])])
+    u = np.stack(u, axis=1)
+    for axis, ((lo, hi), wrap) in enumerate(zip(cset.param_bounds, cset.periodic)):
+        if wrap:
+            u[:, axis] = lo + (u[:, axis] - lo) % (hi - lo)
+    return cset.chart(u)
 
 
 @dataclass
@@ -489,13 +476,14 @@ def minimize(
     """Best-of-restarts approximate minimizer of the (s, d, q) energy.
 
     Restart r starts from ``_sample_initial`` with an rng seeded by
-    (rng_seed, r): quadrature nodes drawn by weight (``weighted``), or a
-    lattice pushed to ``measure``, the equilibrium measure, by its
-    quantile map with each quadrature node's mass spread over its cell
-    (``stratified``), unshifted at restart 0, so the same for every
-    rng_seed, and shifted by an offset from the rng after it.  Each
-    restart descends along the tangent gradient G preconditioned by the
-    pair stiffness P_i = 2s(s+1) sum_j |x_i - x_j|^(-s-2).  G leaves out
+    (rng_seed, r): a lattice pushed by its quantile map, with each
+    quadrature node's mass spread over its cell, to the set's own measure
+    (``weighted``) or to ``measure``, the equilibrium measure
+    (``stratified``).  The lattice is unshifted at restart 0, so the
+    same for every rng_seed, and shifted by an offset from the rng after
+    it.  Each restart descends along the tangent gradient G
+    preconditioned by the pair stiffness
+    P_i = 2s(s+1) sum_j |x_i - x_j|^(-s-2).  G leaves out
     each component along which the retraction holds the points against a
     step down G (on an interval, a push out through an endpoint); that G sets
     the norm, the directions and the curvature pairs.  Every trial X1 is

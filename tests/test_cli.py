@@ -475,7 +475,7 @@ def test_reproduce_zero_override_rejected(tmp_path, capsys, flag, message):
 BUNDLED = {
     "a": (1000, 1500, "stratified", 1, 1000, ["separation", "mesh_ratio_mid", "mesh_ratio_polar"]),
     "b": (200, 3000, "stratified", 1, 500, ["separation"]),
-    "c": (500, 2000, "weighted", 1, 500, ["separation"]),
+    "c": (500, 2000, "stratified", 3, 500, ["separation"]),
     "d": (1000, 1500, "stratified", 1, 1000, ["separation", "void_avoidance"]),
     "e": (200, 5000, "stratified", 1, 500, ["separation", "histogram_sup_dev"]),
 }

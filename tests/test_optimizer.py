@@ -451,12 +451,6 @@ def test_minimize_deterministic(sphere, measure_a):
     assert a.energy == b.energy
 
 
-def test_restart_seed_changes_init(sphere, measure_a):
-    a = minimize(sphere, catalog("a"), 2.0, 30, OptimizerSettings(restarts=1, max_iters=5, rng_seed=0), measure=measure_a)
-    b = minimize(sphere, catalog("a"), 2.0, 30, OptimizerSettings(restarts=1, max_iters=5, rng_seed=1), measure=measure_a)
-    assert not np.array_equal(a.config.points, b.config.points)
-
-
 def test_init_modes(interval02, measure_e):
     for init in ("weighted", "stratified"):
         res = minimize(
@@ -506,8 +500,17 @@ def _user_sphere(sphere):
     )
 
 
-@pytest.mark.parametrize("kind", ["sphere", "torus", "param-surface", "param-curve"])
-def test_stratified_start_on_every_chart(kind, sphere, torus24, measure_a):
+_CHARTS = ["sphere", "torus", "param-surface", "param-curve"]
+
+
+@pytest.mark.parametrize(
+    "kind, init",
+    [pytest.param(kind, "stratified", id=kind) for kind in _CHARTS]
+    + [pytest.param(kind, "weighted", id=f"{kind}-weighted") for kind in _CHARTS],
+)
+def test_stratified_start_on_every_chart(kind, init, sphere, torus24, measure_a):
+    # the lattice start pushed to the equilibrium measure (stratified) or
+    # to the set's own measure (weighted), which needs no measure
     cset, measure = {
         "sphere": lambda: (sphere, measure_a),
         "torus": lambda: (torus24, _Tilted(torus24, floor=-0.3)),
@@ -515,9 +518,11 @@ def test_stratified_start_on_every_chart(kind, sphere, torus24, measure_a):
         "param-curve": lambda: (_circle(), _Tilted(_circle(), floor=-0.2)),
     }[kind]()
     N = 300
+    if init == "weighted":
+        measure = None
 
     def start(seed, r):
-        return _sample_initial(cset, N, np.random.default_rng([seed, r]), "stratified", measure, r > 0)
+        return _sample_initial(cset, N, np.random.default_rng([seed, r]), init, measure, r > 0)
 
     X = start(0, 0)
     assert X.shape == (N, cset.ambient_dim)
@@ -525,7 +530,7 @@ def test_stratified_start_on_every_chart(kind, sphere, torus24, measure_a):
     assert np.abs(X - cset.retract(X)).max() < 1e-12 * cset.diameter
     assert pdist(X).min() > 1e-6 * cset.diameter
     # the counting measure of the start is close to the measure
-    mass = cset.weights * measure.density(cset.nodes)
+    mass = cset.weights if measure is None else cset.weights * measure.density(cset.nodes)
     for k in range(cset.ambient_dim):
         expected = float(mass @ cset.nodes[:, k] / mass.sum())
         assert abs(X[:, k].mean() - expected) < 2e-3 * cset.diameter, k
@@ -533,7 +538,7 @@ def test_stratified_start_on_every_chart(kind, sphere, torus24, measure_a):
     # axis straddle its seam: at most one point sits on the seam
     params = []
     recorded = dataclasses.replace(cset, chart=lambda u: params.append(u) or cset.chart(u))
-    _sample_initial(recorded, N, None, "stratified", measure, False)
+    _sample_initial(recorded, N, None, init, measure, False)
     (u,) = params
     for axis, ((lo, hi), wrap) in enumerate(zip(cset.param_bounds, cset.periodic)):
         assert lo <= u[:, axis].min() and u[:, axis].max() <= hi, axis
@@ -568,11 +573,13 @@ def test_stratified_start_on_the_line_is_the_quantile_map(interval02, measure_e)
     assert X.tobytes() == expected.tobytes()
 
 
-def test_seed_moves_only_shifted_restarts(interval02, measure_e):
+@pytest.mark.parametrize("init", ["weighted", "stratified"])
+def test_seed_moves_only_shifted_restarts(init, interval02, measure_e):
     def run(seed, restarts):
-        settings = OptimizerSettings(restarts=restarts, max_iters=10, rng_seed=seed, init="stratified")
+        settings = OptimizerSettings(restarts=restarts, max_iters=10, rng_seed=seed, init=init)
         return minimize(interval02, catalog("e"), 4.0, 30, settings, measure=measure_e).restarts
 
+    # restart 0 is the same for every seed, restarts >= 1 move with it
     assert run(0, 1) == run(7, 1)
     two = run(0, 2)
     assert two[:1] == run(0, 1)
@@ -798,10 +805,6 @@ def test_minimize_matches_reference_descent(kind, field, s, N, settings, pinned,
         assert len(res.trace) == settings.max_iters
     else:
         assert len(res.trace) < settings.max_iters
-    if N == 700:
-        # the clumped init sample has a near-coincident pair (E = 2.9e25);
-        # its stiffness scales the step down, so the restart descends
-        assert len(res.trace) > 1 and res.energy < 1e-6 * res.trace[0, 1]
     if N == 4:
         assert termination == "grad_tol"
     # the descent gradient norm of the returned points, not of the last
@@ -810,21 +813,30 @@ def test_minimize_matches_reference_descent(kind, field, s, N, settings, pinned,
     assert res.grad_norm == np.linalg.norm(G)
 
 
+def test_clumped_start_with_near_coincident_pair_descends(interval02):
+    # 700 points i.i.d. uniform on [0, 2]: a pair 2.4e-7 apart gives
+    # E = 5.8e26; its stiffness scales the step down, so the descent
+    # from there goes on and falls by more than six orders
+    cset, fld, s, N = interval02, catalog("e"), 4.0, 700
+    X = np.random.default_rng(0).uniform(0.0, 2.0, (N, 1))
+    E, r2min, G, P = optimizer._objective(X, cset, fld, s)
+    assert r2min < 1e-12 and 1e25 < E < np.inf
+    gtol = OptimizerSettings.grad_tol * float(N) ** (1.0 + s) * cset.diameter ** (-s - 1.0)
+    X, _, trace, _, _ = optimizer._descend(cset, fld, s, X, E, G, P, 25, gtol)
+    assert trace[0, 1] == E and len(trace) > 1
+    assert energy(Configuration(X, cset), fld, s) < 1e-6 * E
+
+
 def test_one_pair_pass_per_trial(monkeypatch):
     # each trial's pass gives its energy and gradient and an accepted
     # trial's gradient starts the next iteration; the restart adds the
     # sample's pass and the final energy call
-    kernel, min_distance = optimizer._pair_kernel, optimizer._min_distance
-    descent_gradient = optimizer._descent_gradient
-    passes = {"pair": 0, "distance": 0, "descent_gradient": 0}
+    kernel, descent_gradient = optimizer._pair_kernel, optimizer._descent_gradient
+    passes = {"pair": 0, "descent_gradient": 0}
 
     def counted_kernel(X, s):
         passes["pair"] += 1
         return kernel(X, s)
-
-    def counted_min_distance(X):
-        passes["distance"] += 1
-        return min_distance(X)
 
     def counted_descent_gradient(*args):
         # one retraction of its own, not a trial
@@ -840,12 +852,10 @@ def test_one_pair_pass_per_trial(monkeypatch):
         return retract(X)
 
     monkeypatch.setattr(optimizer, "_pair_kernel", counted_kernel)
-    monkeypatch.setattr(optimizer, "_min_distance", counted_min_distance)
     monkeypatch.setattr(optimizer, "_descent_gradient", counted_descent_gradient)
     monkeypatch.setattr(cset, "retract", counted_retract)
     res = minimize(cset, catalog("a"), 2.0, 40, OptimizerSettings(restarts=1, max_iters=30))
     assert len(res.trace) == 30
-    assert passes["distance"] == 1  # one sample, no jitter retractions
     trials = len(retractions) - passes["descent_gradient"]
     assert trials >= len(res.trace)
     assert passes["pair"] == trials + 2
