@@ -15,6 +15,7 @@ import csv
 import json
 import sys
 import time
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 
@@ -126,11 +127,11 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
-def _write_run(out_dir: Path, result, measure, report_dict, table, eq):
+def _write_run(out_dir: Path, result, measure, report_dict, table):
     """Write the five run artifacts; returns the file manifest.
 
-    ``table`` is the run's empirical density table and ``eq`` the
-    equilibrium density averaged over its bins.
+    ``table`` is the run's empirical density table with the equilibrium
+    density averaged over its bins under ``"equilibrium_density"``.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     X = result.config.points
@@ -147,7 +148,8 @@ def _write_run(out_dir: Path, result, measure, report_dict, table, eq):
         (
             (*x, int(count), rho, rho_eq)
             for x, count, rho, rho_eq in zip(
-                table["centers"], table["count"], table["density"], eq, strict=True
+                table["centers"], table["count"], table["density"], table["equilibrium_density"],
+                strict=True,
             )
         ),
     )
@@ -171,8 +173,8 @@ def _run(cset, fld, s, n, const, settings, out_dir, label, entry=None):
     t_minimize = time.perf_counter()
     report = diagnostics.build_report(result.config, fld, s, measure)
     table = diagnostics.empirical_density(result.config)
-    eq = diagnostics.density_table_average(measure, table)
-    comparison = None if entry is None else _compare(entry, measure, result.config, report, table, eq)
+    table["equilibrium_density"] = diagnostics.density_table_average(measure, table)
+    comparison = None if entry is None else _compare(entry, measure, result.config, report, table)
     t_diagnostics = time.perf_counter()
     report_dict = {
         "label": label,
@@ -191,7 +193,7 @@ def _run(cset, fld, s, n, const, settings, out_dir, label, entry=None):
         "iterations": len(result.trace),
         "trials": result.trials,
         "restarts": result.restarts,
-        "diagnostics": report.to_dict(),
+        "diagnostics": asdict(report),
         "comparison": comparison,
     }
     report_dict["timings"] = {
@@ -200,7 +202,7 @@ def _run(cset, fld, s, n, const, settings, out_dir, label, entry=None):
         "diagnostics_s": t_diagnostics - t_minimize,
     }
     report_dict["wall_time_s"] = time.perf_counter() - t0
-    _write_run(Path(out_dir), result, measure, report_dict, table, eq)
+    _write_run(Path(out_dir), result, measure, report_dict, table)
     print(f"L1 = {measure.l1:.9g}   S(q, A) = {measure.s_value:.9g}")
     print(
         f"N = {n}   energy = {result.energy:.9g}   "
@@ -261,14 +263,14 @@ def _check(window, computed):
     return check | {"within": bool(within)}
 
 
-def _compare(entry, measure, config, report, table, eq):
+def _compare(entry, measure, config, report, table):
     """The run's numbers against the published windows of ``entry``;
-    ``table`` and ``eq`` are the empirical and equilibrium densities."""
+    ``table`` holds the empirical and equilibrium densities per bin."""
     pub = entry["published"]
     computed = {
         "separation": report.separation,
         "void_avoidance": float(np.max(measure.field.evaluate(config.points))),
-        "histogram_sup_dev": float(np.max(np.abs(table["density"] - eq))),
+        "histogram_sup_dev": float(np.max(np.abs(table["density"] - table["equilibrium_density"]))),
     }
     if "mesh_ratio_mid" in pub:
         ratios = diagnostics.region_mesh_ratios(

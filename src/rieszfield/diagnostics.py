@@ -11,7 +11,7 @@ discrepancy), and scaled energy vs the first-order limit.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -24,11 +24,9 @@ __all__ = [
     "DiagnosticsReport",
     "separation",
     "covering_radius",
-    "containment_check",
     "empirical_density",
     "density_table_average",
     "weak_star_error",
-    "energy_ratio",
     "sublevel_components",
     "region_mesh_ratios",
     "build_report",
@@ -115,19 +113,6 @@ def covering_radius(config: Configuration, mesh) -> float:
     return _max_nearest_distance(config.points, pts)
 
 
-def containment_check(config: Configuration, fld, l1: float) -> float:
-    """max q(x) - l1 over the configuration; <= 0 means all points lie
-    inside the sublevel set where the limiting measure lives."""
-    qv = np.asarray(fld.evaluate(config.points), dtype=float)
-    return float(qv.max() - l1)
-
-
-def energy_ratio(config: Configuration, fld, s: float) -> float:
-    """E^q over tau: the finite-N counterpart of the first-order limit."""
-    d = config.cset.hausdorff_dim
-    return energy(config, fld, s) / tau(s, d, config.n)
-
-
 # ---------------------------------------------------------------------------
 # empirical density
 
@@ -199,24 +184,17 @@ def density_table_average(measure, table: dict) -> np.ndarray:
 # weak* comparison
 
 
-def _default_tests(p: int):
-    tests = []
-    for j in range(p):
-        tests.append((f"x{j + 1}", lambda X, _j=j: np.atleast_2d(X)[:, _j]))
-        tests.append((f"x{j + 1}^2", lambda X, _j=j: np.atleast_2d(X)[:, _j] ** 2))
-    return tests
-
-
-def weak_star_error(config: Configuration, measure, test_set=None) -> list[tuple[str, float]]:
-    """|counting-measure average - integral against the limit| per test
-    function; defaults to coordinates and their squares."""
-    if test_set is None:
-        test_set = _default_tests(config.points.shape[1])
+def weak_star_error(config: Configuration, measure) -> list[tuple[str, float]]:
+    """|counting-measure average - integral against the limit| for each
+    coordinate x_j and its square x_j^2."""
     out = []
-    for label, fn in test_set:
-        emp = float(np.mean(np.asarray(fn(config.points), dtype=float)))
-        ref = measure.integrate(fn)
-        out.append((label, abs(emp - ref)))
+    for j in range(config.points.shape[1]):
+        for label, fn in (
+            (f"x{j + 1}", lambda X: np.atleast_2d(X)[:, j]),
+            (f"x{j + 1}^2", lambda X: np.atleast_2d(X)[:, j] ** 2),
+        ):
+            emp = float(np.mean(np.asarray(fn(config.points), dtype=float)))
+            out.append((label, abs(emp - measure.integrate(fn))))
     return out
 
 
@@ -278,7 +256,7 @@ def region_mesh_ratios(config: Configuration, fld, l1: float, sep: float, mesh_p
 @dataclass
 class DiagnosticsReport:
     """The quality numbers of one configuration, from ``build_report``;
-    ``to_dict`` gives them, in this order, for report.json."""
+    ``dataclasses.asdict`` gives them, in this order, for report.json."""
 
     separation: float
     covering_radius: float
@@ -288,9 +266,6 @@ class DiagnosticsReport:
     s_predicted: float
     weak_star_errors: list  # [label, error] pairs
     containment_margin: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def build_report(
@@ -303,8 +278,9 @@ def build_report(
 
     Separation, covering radius and mesh ratio on the set's default
     mesh (CompactSet.mesh()), E/tau, S(q, A), the weak* errors of the
-    coordinates and their squares, and the containment margin.  The
-    covering radius is taken over the mesh points of the sublevel set
+    coordinates and their squares, and the containment margin, the
+    largest q(x_i) less L1 (<= 0 when every point lies in the support).
+    The covering radius is taken over the mesh points of the sublevel set
     {q <= L1 - h}, h = 5% of L1 minus the smallest finite q on the mesh
     (minimizers only fill that region asymptotically); when h <= 0 (no
     mesh point lies inside the support) the whole mesh counts.
@@ -323,8 +299,8 @@ def build_report(
         covering_radius=cov,
         covering_fill=float(fill),
         mesh_ratio=cov / sep,
-        energy_ratio=energy_ratio(config, fld, s),
+        energy_ratio=energy(config, fld, s) / tau(s, config.cset.hausdorff_dim, config.n),
         s_predicted=measure.s_value,
         weak_star_errors=[[label, err] for label, err in weak_star_error(config, measure)],
-        containment_margin=containment_check(config, fld, measure.l1),
+        containment_margin=float(np.max(fld.evaluate(config.points)) - measure.l1),
     )

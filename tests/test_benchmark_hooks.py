@@ -78,9 +78,9 @@ def test_export_call_shape(tmp_path):
     result = minimize(cset, zero, 2.0, 6, OptimizerSettings(max_iters=5, restarts=1))
     measure = solve_equilibrium(cset, zero, 2.0)
     table = diagnostics.empirical_density(result.config)
-    eq = diagnostics.density_table_average(measure, table)
+    table["equilibrium_density"] = diagnostics.density_table_average(measure, table)
     out_dir = tmp_path / "run"
-    files = cli._write_run(out_dir, result, measure, {}, table, eq)
+    files = cli._write_run(out_dir, result, measure, {}, table)
     assert sorted(files) == sorted(os.listdir(out_dir))
 
 

@@ -529,8 +529,8 @@ def test_void_check_holds_at_equality():
     config = types.SimpleNamespace(points=np.zeros((4, 1)), n=4)
     measure = types.SimpleNamespace(field=types.SimpleNamespace(evaluate=lambda X: np.full(len(X), level)))
     report = types.SimpleNamespace(separation=0.5)
-    table = {"density": np.ones(2)}
-    comparison = cli._compare(entry, measure, config, report, table, np.ones(2))
+    table = {"density": np.ones(2), "equilibrium_density": np.ones(2)}
+    comparison = cli._compare(entry, measure, config, report, table)
     assert comparison["checks"] == {"void_avoidance": {"published": level, "computed": level, "within": True}}
     assert comparison["all_within"] is True
 

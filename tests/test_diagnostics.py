@@ -3,6 +3,7 @@ import json
 import math
 import types
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -13,11 +14,9 @@ from rieszfield.diagnostics import (
     DiagnosticsReport,
     _max_nearest_distance,
     build_report,
-    containment_check,
     covering_radius,
     density_table_average,
     empirical_density,
-    energy_ratio,
     region_mesh_ratios,
     separation,
     sublevel_components,
@@ -137,16 +136,20 @@ def test_covering_radius_mesh_shapes(interval01):
 
 
 def test_containment_check(interval01):
+    # the margin is max q(x_i) - L1; l1 is swapped on a solved measure
     ramp = ExternalField(lambda X: np.atleast_2d(X)[:, 0])
     cfg = _cfg([[0.1], [0.6]], interval01)
-    assert containment_check(cfg, ramp, 1.0) == pytest.approx(-0.4, rel=1e-14)
-    assert containment_check(cfg, ramp, 0.5) == pytest.approx(0.1, rel=1e-14)
+    measure = solve_equilibrium(interval01, ramp, 2.0)
+    for l1, margin in ((1.0, -0.4), (0.5, 0.1)):
+        measure.l1 = l1
+        assert build_report(cfg, ramp, 2.0, measure).containment_margin == pytest.approx(margin, rel=1e-14)
 
 
 def test_energy_ratio_hand_value(interval01):
     cfg = _cfg([[0.0], [1.0]], interval01)
+    measure = solve_equilibrium(interval01, ZERO, 2.0)
     # E = 2, tau = 2^3
-    assert energy_ratio(cfg, ZERO, 2.0) == pytest.approx(2.0 / 8.0, rel=1e-14)
+    assert build_report(cfg, ZERO, 2.0, measure).energy_ratio == pytest.approx(2.0 / 8.0, rel=1e-14)
 
 
 def test_empirical_density_interval(interval01):
@@ -207,9 +210,9 @@ def test_write_density_csv(tmp_path, interval01):
     # the table as the CLI exports it, from a run that made no step
     config = _cfg(np.linspace(0.0, 0.999, 16)[:, None], interval01)
     table = empirical_density(config)
-    eq = np.full(len(table["count"]), 1.0)
+    table["equilibrium_density"] = np.full(len(table["count"]), 1.0)
     run = types.SimpleNamespace(config=config, trace=np.zeros((0, 4)))
-    cli._write_run(tmp_path, run, solve_equilibrium(interval01, ZERO, 2.0), {}, table, eq)
+    cli._write_run(tmp_path, run, solve_equilibrium(interval01, ZERO, 2.0), {}, table)
     path = tmp_path / "density.csv"
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -227,18 +230,6 @@ def test_weak_star_error_defaults(interval01):
     # empirical mean of x is 1/2 = uniform integral; x^2: 1/2 vs 1/3
     assert errs["x1"] == pytest.approx(0.0, abs=1e-12)
     assert errs["x1^2"] == pytest.approx(0.5 - 1.0 / 3.0, abs=1e-9)
-
-
-def test_weak_star_error_custom_tests(interval01):
-    measure = solve_equilibrium(interval01, ZERO, 2.0)
-    cfg = _cfg([[0.25], [0.75]], interval01)
-    errs = weak_star_error(
-        cfg, measure, test_set=[("cos", lambda X: np.cos(np.atleast_2d(X)[:, 0]))]
-    )
-    (label, err), = errs
-    assert label == "cos"
-    emp = 0.5 * (math.cos(0.25) + math.cos(0.75))
-    assert err == pytest.approx(abs(emp - math.sin(1.0)), abs=1e-9)
 
 
 def test_sublevel_components_three_bands(sphere):
@@ -341,7 +332,7 @@ def test_build_report_consistency(interval02, measure_e):
     assert rep.containment_margin < 0.5
     # first-order energy scaling: E/tau within 15% of the predicted limit
     assert rep.energy_ratio == pytest.approx(measure_e.s_value, rel=0.15)
-    d = rep.to_dict()
+    d = asdict(rep)
     json.dumps(d)
     assert set(d) == {
         "separation", "covering_radius", "covering_fill", "mesh_ratio",

@@ -648,7 +648,8 @@ def test_csv_writers(tmp_path, interval01):
     res = minimize(interval01, ZERO, 2.0, 5, OptimizerSettings(restarts=1, max_iters=50))
     measure = solve_equilibrium(interval01, ZERO, 2.0)
     table = diagnostics.empirical_density(res.config)
-    cli._write_run(tmp_path, res, measure, {}, table, diagnostics.density_table_average(measure, table))
+    table["equilibrium_density"] = diagnostics.density_table_average(measure, table)
+    cli._write_run(tmp_path, res, measure, {}, table)
     pp = tmp_path / "points.csv"
     tp = tmp_path / "trace.csv"
     with open(pp, newline="") as fh:
