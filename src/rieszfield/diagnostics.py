@@ -117,8 +117,10 @@ def covering_radius(config: Configuration, mesh) -> float:
 # empirical density
 
 
-# equilibrium density samples per interval bin or sphere band (per azimuth)
+# equilibrium density samples per interval bin, and Gauss-Legendre
+# heights per sphere band (each taken at every azimuth node of the set)
 _SAMPLES_PER_BIN = 512
+_BAND_HEIGHTS = 16
 
 
 def empirical_density(config: Configuration) -> dict:
@@ -128,8 +130,10 @@ def empirical_density(config: Configuration) -> dict:
     equal-area latitudinal bands; any other set is counted per
     quadrature cell (nearest-node assignment, count over N*weight).
     ``samples`` (bins x points per bin x ambient dim) holds the points
-    each bin's equilibrium density is averaged over: 512 per interval
-    bin, 8 azimuths x 512 heights per sphere band, a cell's node.
+    each bin's equilibrium density is averaged over, with the relative
+    ``sample_weights`` (points per bin): 512 equal weights per interval
+    bin; per sphere band 16 Gauss-Legendre heights, each at the set's
+    quadrature azimuths (cset.axes[1]); a cell's node.
     """
     cset = config.cset
     X = config.points
@@ -145,6 +149,7 @@ def empirical_density(config: Configuration) -> dict:
             "count": counts,
             "density": counts / (N * width),
             "samples": np.linspace(edges[:-1], edges[1:], _SAMPLES_PER_BIN, axis=1)[:, :, None],
+            "sample_weights": np.ones(_SAMPLES_PER_BIN),
         }
     if cset.kind == "sphere":
         r = cset.params["radius"]
@@ -153,15 +158,17 @@ def empirical_density(config: Configuration) -> dict:
         areas = 2.0 * np.pi * r * np.diff(edges)  # equal-height zones have equal area
         centers = np.zeros((k, 3))
         centers[:, 2] = 0.5 * (edges[:-1] + edges[1:])
-        # chart parameters (z / r, phi), azimuth-major within each band
-        Z = np.linspace(edges[:-1], edges[1:], _SAMPLES_PER_BIN, axis=1) / r
-        PH = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
-        P = np.stack(np.broadcast_arrays(Z[:, None, :], PH[None, :, None]), axis=-1)
+        # chart parameters (z / r, phi), height-major within each band
+        x, w = np.polynomial.legendre.leggauss(_BAND_HEIGHTS)
+        Z = (centers[:, 2:] + 0.5 * np.diff(edges)[:, None] * x) / r
+        PH = cset.axes[1]
+        P = np.stack(np.broadcast_arrays(Z[:, :, None], PH[None, None, :]), axis=-1)
         return {
             "centers": centers,
             "count": counts,
             "density": counts / (N * areas),
             "samples": cset.chart(P.reshape(-1, 2)).reshape(k, -1, 3),
+            "sample_weights": np.repeat(w, len(PH)),
         }
     idx = cKDTree(cset.nodes).query(X)[1]
     counts = np.bincount(idx, minlength=len(cset.nodes))
@@ -170,14 +177,17 @@ def empirical_density(config: Configuration) -> dict:
         "count": counts,
         "density": counts / (N * cset.weights),
         "samples": cset.nodes[:, None, :],
+        "sample_weights": np.ones(1),
     }
 
 
 def density_table_average(measure, table: dict) -> np.ndarray:
     """Equilibrium density averaged over the bins of an empirical table,
-    for like-for-like histogram comparisons."""
+    for like-for-like histogram comparisons: the weighted mean of its
+    samples under ``sample_weights``."""
     k, m, p = table["samples"].shape
-    return measure.density(table["samples"].reshape(-1, p)).reshape(k, m).mean(axis=1)
+    w = table["sample_weights"]
+    return (measure.density(table["samples"].reshape(-1, p)).reshape(k, m) * w).sum(axis=1) / w.sum()
 
 
 # ---------------------------------------------------------------------------
