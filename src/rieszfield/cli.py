@@ -171,6 +171,12 @@ def _run(cset, fld, s, n, const, settings, out_dir, label, entry=None):
     t_equilibrium = time.perf_counter()
     result = minimize(cset, fld, s, n, settings, measure=measure)
     t_minimize = time.perf_counter()
+    if result.termination in ("max_iters", "line_search_exhausted", "step_absorbed"):
+        print(
+            f"warning: descent stopped on {result.termination} after {len(result.trace)} "
+            f"iterations: grad_norm {result.grad_norm:.3g}",
+            file=sys.stderr,
+        )
     report = diagnostics.build_report(result.config, fld, s, measure)
     table = diagnostics.empirical_density(result.config)
     table["equilibrium_density"] = diagnostics.density_table_average(measure, table)

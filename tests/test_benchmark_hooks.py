@@ -84,6 +84,25 @@ def test_export_call_shape(tmp_path):
     assert sorted(files) == sorted(os.listdir(out_dir))
 
 
+def test_density_table_is_built_through_traced_names(tmp_path, monkeypatch):
+    # perfbench/tracing.py times the density table by rebinding these two
+    # module attributes; a run that reached them another way would drop
+    # their spans
+    calls = []
+    for name in ("empirical_density", "density_table_average"):
+        fn = getattr(diagnostics, name)
+        monkeypatch.setattr(
+            diagnostics, name, lambda *a, _name=name, _fn=fn, **kw: calls.append(_name) or _fn(*a, **kw)
+        )
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "set": {"kind": "interval", "a": 0.0, "b": 2.0}, "field": {"kind": "catalog", "id": "e"},
+        "s": 4.0, "n": 6, "settings": {"max_iters": 5, "restarts": 1},
+    }))
+    assert cli.main(["solve", str(config), "--out", str(tmp_path / "run")]) == 0
+    assert sorted(calls) == ["density_table_average", "empirical_density"]
+
+
 def test_solver_info_has_traced_keys():
     zero = ExternalField(lambda X: np.zeros(len(np.atleast_2d(X))))
     info = solve_equilibrium(make_interval(0.0, 1.0), zero, 2.0).solver_info

@@ -326,9 +326,29 @@ def test_solve_warns_on_budget_stop(tmp_path, capsys, monkeypatch, validate_repo
     report = json.loads((out / "report.json").read_text())
     validate_report_schema(report)
     assert report["solver_info"]["stop_reason"] == "budget"
+    assert report["termination"] == "max_iters"
     warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
-    assert len(warnings) == 1
-    assert "stopped on budget" in warnings[0]
+    assert len(warnings) == 2
+    assert "equilibrium solve stopped on budget" in warnings[0]
+    assert warnings[1] == (
+        f"warning: descent stopped on max_iters after {report['iterations']} iterations: "
+        f"grad_norm {report['grad_norm']:.3g}"
+    )
+
+
+def test_reproduce_warns_on_descent_budget(tmp_path, capsys):
+    # five iterations end e's descent on its budget; at its defaults it
+    # stops on the precision floor and prints nothing
+    assert cli.main(["reproduce", "e", "--iters", "5", "--out", str(tmp_path / "short")]) == 0
+    report = json.loads((tmp_path / "short" / "report.json").read_text())
+    assert report["termination"] == "max_iters"
+    err = capsys.readouterr().err
+    assert err.count("warning:") == 1
+    assert "warning: descent stopped on max_iters after 5 iterations: grad_norm " in err
+    assert cli.main(["reproduce", "e", "--out", str(tmp_path / "full")]) == 0
+    report = json.loads((tmp_path / "full" / "report.json").read_text())
+    assert report["termination"] == "precision_floor"
+    assert capsys.readouterr().err == ""
 
 
 def test_design_warns_on_budget_stop(tmp_path, capsys, monkeypatch):
