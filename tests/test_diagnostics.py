@@ -209,9 +209,10 @@ def test_density_table_average_sphere(sphere, rng):
 def test_density_table_average_sphere_non_zonal(sphere, rng):
     # q = 0.1 Re((x + iy)^8) keeps the support whole at s = d = 2, so the
     # density is (L1 - q)/M: its mean over every azimuth is its value at
-    # the poles, where q = 0.  Sampled at 8 azimuths, cos(8 phi) reads as
-    # 1 and bands were off by up to 19% of that value; at the set's 192
-    # azimuth nodes the largest error measured 3.5e-16 of it
+    # the poles, where q = 0.  At 8 equally spaced azimuths cos(8 phi)
+    # would read as 1, putting bands off by up to 19% of that value; at
+    # the set's 192 azimuth nodes the largest error measured 3.5e-16 of
+    # it, hence rtol 1e-13
     wave = ExternalField(lambda X: 0.1 * ((np.atleast_2d(X)[:, 0] + 1j * np.atleast_2d(X)[:, 1]) ** 8).real)
     measure = solve_equilibrium(sphere, wave, 2.0)
     assert measure.support_fraction == 1.0
